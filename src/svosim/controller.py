@@ -188,22 +188,21 @@ class _OuterProblem:
             self.v0 - cons.v_min, cons.v_max - self.v0,
             self.a0 - cons.a_min, cons.a_max - self.a0])
         self.inner_warm: np.ndarray | None = None
-        self.inner_solves = 0
 
     def av_rollout(self, u: np.ndarray):
         m = self.maps
         return (m.gap_u @ u + self.g0, m.speed_u @ u + self.v0,
                 m.accel_u @ u + self.a0)
 
-    def respond(self, u: np.ndarray, warm,
-                refine: bool = False) -> BestResponse:
-        _, speeds, _ = self.av_rollout(u)
-        leader = np.concatenate([[self.x_av.speed], speeds])
-        self.inner_solves += 1
-        return respond_to_leader(self.x_h, leader, self.w_h, self.hc,
-                                 self.disc, self.n, self.v_limit,
-                                 warm_start=warm, refine=refine,
-                                 eps=defaults.SMOOTH_EPS_SHARP)
+    def respond(self, u: np.ndarray, warm, refine: bool = False
+                ) -> tuple[np.ndarray, BestResponse]:
+        """The leader speed profile of plan u and the driver's response."""
+        leader = np.concatenate([[self.x_av.speed],
+                                 self.maps.speed_u @ u + self.v0])
+        return leader, respond_to_leader(self.x_h, leader, self.w_h, self.hc,
+                                         self.disc, self.n, self.v_limit,
+                                         warm_start=warm, refine=refine,
+                                         eps=defaults.SMOOTH_EPS_SHARP)
 
     def constraint_values(self, u: np.ndarray):
         return self.cons_jac @ u + self.cons_off
@@ -216,14 +215,7 @@ class _OuterProblem:
         total = self.w_e * float(err @ err)
         grad = 2.0 * self.w_e * (self.err_map.T @ err)
         if self.w_c > 0.0:
-            _, speeds, _ = self.av_rollout(u)
-            leader = np.concatenate([[self.x_av.speed], speeds])
-            self.inner_solves += 1
-            base = respond_to_leader(self.x_h, leader, self.w_h, self.hc,
-                                     self.disc, self.n, self.v_limit,
-                                     warm_start=self.inner_warm,
-                                     refine=False,
-                                     eps=defaults.SMOOTH_EPS_SHARP)
+            leader, base = self.respond(u, self.inner_warm)
             self.inner_warm = base.controls
             total += self.w_c * float(np.sum((self.v_limit
                                               - base.speeds) ** 2))
@@ -301,7 +293,7 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
 
     g, v, a = prob.av_rollout(u)
     av_traj = PredictedTrajectory(gaps=g, speeds=v, accels=a)
-    resp = prob.respond(u, prob.inner_warm, refine=True)
+    _, resp = prob.respond(u, prob.inner_warm, refine=True)
     hv0_traj = PredictedTrajectory(gaps=resp.gaps, speeds=resp.speeds,
                                    accels=resp.accels)
     ce = egoistic_cost(av_traj, ego)

@@ -19,8 +19,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.optimize import minimize
 
 from . import defaults
@@ -188,8 +190,63 @@ class BestResponse:
     max_violation: float
 
 
+_BLOCKS_CACHE: dict = {}
+
+
+class _DriverBlocks(NamedTuple):
+    """Constant data of the response problem for one (maps, weights).
+
+    Each map stacks four row blocks: the gap, speed, accel and
+    gap-offset (tau v - g) sequences at steps 1..N, so the stacked state
+    is y = M u + P v_lead + X x0 (+ min_gap on the offset block).
+    """
+
+    M: np.ndarray
+    P: np.ndarray
+    X: np.ndarray
+    H_q: np.ndarray   # Hessian of the quadratic terms, 1e-10 I included
+
+
+def _driver_blocks(maps: HorizonMaps, weights: DriverWeights) -> _DriverBlocks:
+    """Build (and cache) the constant blocks for one horizon and weights."""
+    key = (maps.key, weights)
+    hit = _BLOCKS_CACHE.get(key)
+    if hit is not None:
+        return hit
+    tau = weights.tau_headway
+    M, P, X = (np.vstack([g, v, a, tau * v - g]) for g, v, a in (
+        (maps.gap_u, maps.speed_u, maps.accel_u),
+        (maps.gap_p, maps.speed_p, maps.accel_p),
+        (maps.gap_x, maps.speed_x, maps.accel_x)))
+    w_a, w_ds, w_rs, _ = weights.w
+    H_q = (2.0 * w_a * (maps.accel_u.T @ maps.accel_u)
+           + 2.0 * (w_ds + w_rs) * (maps.speed_u.T @ maps.speed_u)
+           + 1e-10 * np.eye(maps.n_steps))
+    if len(_BLOCKS_CACHE) > 16:
+        _BLOCKS_CACHE.clear()
+    blocks = _BLOCKS_CACHE[key] = _DriverBlocks(M, P, X, H_q)
+    return blocks
+
+
+def _spd_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve H x = b by one LAPACK Cholesky call (dposv).
+
+    Raises:
+        np.linalg.LinAlgError: H is not numerically positive definite.
+    """
+    _, x, info = dposv(H, b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dposv failed with info {info}")
+    return x
+
+
 class _ResponseProblem:
-    """Smoothed, penalized single-shooting objective in the control vector."""
+    """Smoothed, penalized single-shooting objective in the control vector.
+
+    Every cost term is separable in the stacked state (_DriverBlocks),
+    so the gradient is one product with M^T and the Hessian the constant
+    quadratic block plus the gap-offset and active penalty rows.
+    """
 
     def __init__(self, maps: HorizonMaps, x0: LongitudinalState,
                  leader_speeds: np.ndarray, weights: DriverWeights,
@@ -199,81 +256,66 @@ class _ResponseProblem:
         if len(leader_speeds) != n + 1:
             raise InvalidParameterError(
                 f"need {n + 1} leader-speed samples, got {len(leader_speeds)}")
-        self.maps = maps
-        self.weights = weights
-        self.hc = hc
+        self.n = n
+        self.qp = _driver_blocks(maps, weights)
+        # bounds of the gap and speed rows
+        self.lo = np.array([[hc.d_min], [hc.v_min]])
+        self.hi = np.array([[np.inf], [hc.v_max]])
         self.v_limit = v_limit
         self.penalty = penalty
-        self.lead_dyn = leader_speeds[:n]       # held over [k, k+1)
-        self.lead_at = leader_speeds[1:]        # aligned with states 1..N
-        self.g0, self.v0, self.a0 = maps.free_response(x0, self.lead_dyn)
-        w_a, w_ds, w_rs, w_rd = weights.as_array()
-        self.w_a, self.w_ds, self.w_rs, self.w_rd = w_a, w_ds, w_rs, w_rd
-        self.offset_map = weights.tau_headway * maps.speed_u - maps.gap_u
         self.eps = eps
+        self.lead_at = leader_speeds[1:]        # aligned with states 1..N
+        # leader samples 0..N-1 are held over [k, k+1)
+        self.y0 = self.qp.P @ leader_speeds[:n] + self.qp.X @ x0.as_array()
+        self.y0[3 * n:] += weights.min_gap
+        self.w_a, self.w_ds, self.w_rs, self.w_rd = weights.w
 
     def traj(self, u: np.ndarray):
-        m = self.maps
-        return (m.gap_u @ u + self.g0, m.speed_u @ u + self.v0,
-                m.accel_u @ u + self.a0)
+        """Gap, speed, accel and desired-gap offset rows at steps 1..N."""
+        return (self.qp.M @ u + self.y0).reshape(4, self.n)
+
+    def violation(self, Y: np.ndarray):
+        """Signed bound violation of the gap and speed rows of traj()."""
+        return (np.maximum(Y[:2] - self.hi, 0.0)
+                - np.maximum(self.lo - Y[:2], 0.0))
 
     def value_grad(self, u: np.ndarray):
-        g, v, a = self.traj(u)
-        w = self.weights
-        off = v * w.tau_headway + w.min_gap - g
+        Y = self.traj(u)
+        _, v, a, off = Y
         smooth = np.sqrt(off * off + self.eps * self.eps)
-        viol_d = np.maximum(0.0, self.hc.d_min - g)
-        viol_lo = np.maximum(0.0, self.hc.v_min - v)
-        viol_hi = np.maximum(0.0, v - self.hc.v_max)
-        f = (self.w_a * a @ a
-             + self.w_ds * np.sum((self.v_limit - v) ** 2)
-             + self.w_rs * np.sum((self.lead_at - v) ** 2)
-             + self.w_rd * np.sum(smooth)
-             + self.penalty * (viol_d @ viol_d + viol_lo @ viol_lo
-                               + viol_hi @ viol_hi))
-        dsm = off / smooth
-        df_da = 2.0 * self.w_a * a
-        df_dv = (-2.0 * self.w_ds * (self.v_limit - v)
-                 - 2.0 * self.w_rs * (self.lead_at - v)
-                 + self.w_rd * dsm * w.tau_headway
-                 + self.penalty * (-2.0 * viol_lo + 2.0 * viol_hi))
-        df_dg = (-self.w_rd * dsm - 2.0 * self.penalty * viol_d)
-        m = self.maps
-        grad = m.accel_u.T @ df_da + m.speed_u.T @ df_dv + m.gap_u.T @ df_dg
-        return f, grad
+        viol = self.violation(Y)
+        d_lim, d_rel = self.v_limit - v, self.lead_at - v
+        f = (self.w_a * (a @ a) + self.w_ds * (d_lim @ d_lim)
+             + self.w_rs * (d_rel @ d_rel) + self.w_rd * smooth.sum()
+             + self.penalty * np.vdot(viol, viol))
+        df_dy = np.empty_like(Y)
+        df_dy[:2] = 2.0 * self.penalty * viol
+        df_dy[1] -= 2.0 * (self.w_ds * d_lim + self.w_rs * d_rel)
+        df_dy[2] = 2.0 * self.w_a * a
+        df_dy[3] = self.w_rd * off / smooth
+        return f, self.qp.M.T @ df_dy.ravel()
 
-    def hessian(self, u: np.ndarray):
-        g, v, a = self.traj(u)
-        w = self.weights
-        off = v * w.tau_headway + w.min_gap - g
-        smooth_sq = off * off + self.eps * self.eps
-        curve = self.eps * self.eps / (smooth_sq * np.sqrt(smooth_sq))
-        return self._assemble_hessian(g, v, curve)
+    def curvature(self, u: np.ndarray, majorize: bool = False):
+        """Gap-offset curvature weights and active penalty rows at u.
 
-    def mm_hessian(self, u: np.ndarray):
-        """Hessian of the reweighted-least-squares upper bound.
-
-        Replaces each smoothed-abs gap term with the quadratic that
-        touches it at the current iterate and majorizes it everywhere;
+        majorize=True gives the weights of the reweighted-least-squares
+        upper bound instead: each smoothed-abs gap term is replaced with
+        the quadratic that touches it at u and majorizes it everywhere;
         the resulting step stays well scaled when an iterate is far from
         the term's kink, where the true curvature collapses.
         """
-        g, v, _ = self.traj(u)
-        w = self.weights
-        off = v * w.tau_headway + w.min_gap - g
-        curve = 1.0 / np.sqrt(off * off + self.eps * self.eps)
-        return self._assemble_hessian(g, v, curve)
+        Y = self.traj(u)
+        sq = Y[3] * Y[3] + self.eps * self.eps
+        curve = (1.0 / np.sqrt(sq) if majorize
+                 else self.eps * self.eps / (sq * np.sqrt(sq)))
+        return self.w_rd * curve, self.violation(Y).ravel() != 0.0
 
-    def _assemble_hessian(self, g, v, gap_curve):
-        m = self.maps
-        H = 2.0 * self.w_a * (m.accel_u.T @ m.accel_u)
-        dv = np.full(m.n_steps, 2.0 * (self.w_ds + self.w_rs))
-        dv += 2.0 * self.penalty * ((v < self.hc.v_min) | (v > self.hc.v_max))
-        H += (m.speed_u * dv[:, None]).T @ m.speed_u
-        dg = 2.0 * self.penalty * (g < self.hc.d_min)
-        H += (m.gap_u * dg[:, None]).T @ m.gap_u
-        H += (self.offset_map
-              * (self.w_rd * gap_curve)[:, None]).T @ self.offset_map
+    def hessian(self, gap_curve: np.ndarray, active: np.ndarray):
+        omega = self.qp.M[3 * self.n:]
+        H = self.qp.H_q + (omega.T * gap_curve) @ omega
+        rows = self.qp.M[:2 * self.n][active]
+        if len(rows):
+            H += 2.0 * self.penalty * (rows.T @ rows)
         return H
 
     def leader_sensitivity(self, u: np.ndarray, speed_grad: np.ndarray):
@@ -285,45 +327,31 @@ class _ResponseProblem:
         leader through the stationarity of this objective.  Valid only
         at a minimizer of this problem.
         """
-        g, v, _ = self.traj(u)
-        w = self.weights
-        off = v * w.tau_headway + w.min_gap - g
-        smooth_sq = off * off + self.eps * self.eps
-        psi_curve = self.eps * self.eps / (smooth_sq * np.sqrt(smooth_sq))
-        m = self.maps
-        y = np.linalg.solve(self.hessian(u) + 1e-10 * np.eye(len(u)),
-                            m.speed_u.T @ speed_grad)
-        yv = m.speed_u @ y
-        dv_diag = (2.0 * (self.w_ds + self.w_rs)
-                   + 2.0 * self.penalty * ((v < self.hc.v_min)
-                                           | (v > self.hc.v_max)))
-        dg_diag = 2.0 * self.penalty * (g < self.hc.d_min)
-        cross_dyn = (m.accel_p.T @ (2.0 * self.w_a * (m.accel_u @ y))
-                     + m.speed_p.T @ (dv_diag * yv)
-                     + m.gap_p.T @ (dg_diag * (m.gap_u @ y))
-                     + (w.tau_headway * m.speed_p - m.gap_p).T
-                     @ (self.w_rd * psi_curve * (self.offset_map @ y)))
-        out = np.zeros(len(u) + 1)
+        n, (M, P, _, _) = self.n, self.qp
+        gap_curve, active = self.curvature(u)
+        y = _spd_solve(self.hessian(gap_curve, active),
+                       M[n:2 * n].T @ speed_grad)
+        # diagonal curvature of the cost in the stacked state
+        state_curve = np.concatenate([2.0 * self.penalty * active,
+                                      np.full(n, 2.0 * self.w_a), gap_curve])
+        state_curve[n:2 * n] += 2.0 * (self.w_ds + self.w_rs)
+        my = M @ y
+        out = np.zeros(n + 1)
         # the first n samples drive the response states directly
-        out[:len(u)] = m.speed_p.T @ speed_grad - cross_dyn
+        out[:n] = P[n:2 * n].T @ speed_grad - P.T @ (state_curve * my)
         # samples 1..n also enter the relative-speed feature
-        out[1:] += 2.0 * self.w_rs * yv
+        out[1:] += 2.0 * self.w_rs * my[n:2 * n]
         return out
 
     def true_cost(self, u: np.ndarray) -> float:
-        g, v, a = self.traj(u)
-        w = self.weights
-        off = v * w.tau_headway + w.min_gap - g
-        return float(self.w_a * a @ a
-                     + self.w_ds * np.sum((self.v_limit - v) ** 2)
-                     + self.w_rs * np.sum((self.lead_at - v) ** 2)
-                     + self.w_rd * np.sum(np.abs(off)))
+        _, v, a, off = self.traj(u)
+        d_lim, d_rel = self.v_limit - v, self.lead_at - v
+        return float(self.w_a * (a @ a) + self.w_ds * (d_lim @ d_lim)
+                     + self.w_rs * (d_rel @ d_rel)
+                     + self.w_rd * np.abs(off).sum())
 
     def max_violation(self, u: np.ndarray) -> float:
-        g, v, _ = self.traj(u)
-        return float(max(np.max(self.hc.d_min - g, initial=0.0),
-                         np.max(self.hc.v_min - v, initial=0.0),
-                         np.max(v - self.hc.v_max, initial=0.0)))
+        return float(np.abs(self.violation(self.traj(u))).max())
 
 
 def _newton_minimize(prob: _ResponseProblem, u0: np.ndarray) -> np.ndarray:
@@ -336,15 +364,13 @@ def _newton_minimize(prob: _ResponseProblem, u0: np.ndarray) -> np.ndarray:
     """
     u = u0.copy()
     f, grad = prob.value_grad(u)
-    n = len(u)
-    reg = 1e-10 * np.eye(n)
     for _ in range(_NEWTON_MAX_ITERS):
         if np.max(np.abs(grad)) <= _NEWTON_GRAD_TOL:
             return u
         f_before = f
         moved = False
         try:
-            direction = np.linalg.solve(prob.hessian(u) + reg, -grad)
+            direction = _spd_solve(prob.hessian(*prob.curvature(u)), -grad)
         except np.linalg.LinAlgError:
             direction = None
         if direction is not None:
@@ -357,7 +383,8 @@ def _newton_minimize(prob: _ResponseProblem, u0: np.ndarray) -> np.ndarray:
                     moved = True
         if not moved:
             try:
-                direction = np.linalg.solve(prob.mm_hessian(u) + reg, -grad)
+                direction = _spd_solve(
+                    prob.hessian(*prob.curvature(u, majorize=True)), -grad)
             except np.linalg.LinAlgError:
                 direction = -grad
             slope = grad @ direction
@@ -422,23 +449,19 @@ def respond_to_leader(x0: LongitudinalState, leader_speeds,
     leader_speeds = np.asarray(leader_speeds, dtype=float)
     u = (np.zeros(n_steps) if warm_start is None
          else np.asarray(warm_start, dtype=float).copy())
-    penalty = defaults.PENALTY_WEIGHT
     prob = _ResponseProblem(maps, x0, leader_speeds, weights, hc,
-                            v_limit, penalty, eps=eps)
+                            v_limit, defaults.PENALTY_WEIGHT, eps=eps)
     u = _newton_minimize(prob, u)
     if refine:
         escalations = 0
         while (prob.max_violation(u) > _FEASIBILITY_TOL
                and escalations < _MAX_ESCALATIONS):
-            penalty *= _ESCALATION_FACTOR
+            prob.penalty *= _ESCALATION_FACTOR
             escalations += 1
-            prob = _ResponseProblem(maps, x0, leader_speeds, weights, hc,
-                                    v_limit, penalty, eps=eps)
             u = _newton_minimize(prob, u)
-        prob = _ResponseProblem(maps, x0, leader_speeds, weights, hc,
-                                v_limit, penalty, eps=min(eps, _POLISH_EPS))
+        prob.eps = min(eps, _POLISH_EPS)
         u = _newton_minimize(prob, u)
-    gaps, speeds, accels = prob.traj(u)
+    gaps, speeds, accels, _ = prob.traj(u)
     viol = prob.max_violation(u)
     return BestResponse(controls=u, gaps=gaps, speeds=speeds, accels=accels,
                         cost=prob.true_cost(u),

@@ -16,7 +16,7 @@ hold of the continuous one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -138,6 +138,8 @@ class HorizonMaps:
     gap_x: np.ndarray
     speed_x: np.ndarray
     accel_x: np.ndarray
+    # the build_horizon_maps cache key: identifies the maps by value
+    key: tuple = field(repr=False)
 
     def free_response(self, x0: LongitudinalState, v_prec_seq: np.ndarray):
         """Trajectory pieces independent of the control sequence."""
@@ -213,7 +215,7 @@ def build_horizon_maps(disc: DiscreteDynamics, n_steps: int) -> HorizonMaps:
     maps = HorizonMaps(n_steps=n, dt=disc.dt,
                        gap_u=g_u, speed_u=v_u, accel_u=a_u,
                        gap_p=g_p, speed_p=v_p, accel_p=a_p,
-                       gap_x=g_x, speed_x=v_x, accel_x=a_x)
+                       gap_x=g_x, speed_x=v_x, accel_x=a_x, key=key)
     if len(_MAPS_CACHE) > 16:
         _MAPS_CACHE.clear()
     _MAPS_CACHE[key] = maps

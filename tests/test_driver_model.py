@@ -227,6 +227,104 @@ def test_best_response_scale_covariance():
     assert math.isclose(r2.cost, 3.0 * r1.cost, rel_tol=1e-6)
 
 
+def direct_response_terms(maps, x0, leader, w, hc, v_limit, penalty, eps, u):
+    """Value, gradient, Hessians and adjoint of the response problem,
+    term by term from the per-component horizon maps."""
+    G, V, A = maps.gap_u, maps.speed_u, maps.accel_u
+    w_a, w_ds, w_rs, w_rd = w.w
+    tau = w.tau_headway
+    g0, v0, a0 = maps.free_response(x0, leader[:-1])
+    g, v, a = G @ u + g0, V @ u + v0, A @ u + a0
+    off = tau * v + w.min_gap - g
+    smooth = np.sqrt(off ** 2 + eps ** 2)
+    viol_d = np.maximum(0.0, hc.d_min - g)
+    viol_lo = np.maximum(0.0, hc.v_min - v)
+    viol_hi = np.maximum(0.0, v - hc.v_max)
+    f = (w_a * np.sum(a ** 2) + w_ds * np.sum((v_limit - v) ** 2)
+         + w_rs * np.sum((leader[1:] - v) ** 2) + w_rd * np.sum(smooth)
+         + penalty * np.sum(viol_d ** 2 + viol_lo ** 2 + viol_hi ** 2))
+    df_dv = (-2 * w_ds * (v_limit - v) - 2 * w_rs * (leader[1:] - v)
+             + w_rd * tau * off / smooth + 2 * penalty * (viol_hi - viol_lo))
+    df_dg = -w_rd * off / smooth - 2 * penalty * viol_d
+    grad = A.T @ (2 * w_a * a) + V.T @ df_dv + G.T @ df_dg
+    dv = 2 * (w_ds + w_rs) + 2 * penalty * ((v < hc.v_min) | (v > hc.v_max))
+    dg = 2 * penalty * (g < hc.d_min)
+    omega = tau * V - G
+
+    def hessian(gap_curve):
+        return (2 * w_a * A.T @ A + V.T @ np.diag(dv) @ V
+                + G.T @ np.diag(dg) @ G
+                + omega.T @ np.diag(w_rd * gap_curve) @ omega
+                + 1e-10 * np.eye(len(u)))
+
+    newton = hessian(eps ** 2 / smooth ** 3)
+    majorizer = hessian(1.0 / smooth)
+    speed_grad = -2.0 * (v_limit - v)
+    y = np.linalg.solve(newton, V.T @ speed_grad)
+    cross = (maps.accel_p.T @ (2 * w_a * (A @ y))
+             + maps.speed_p.T @ (dv * (V @ y))
+             + maps.gap_p.T @ (dg * (G @ y))
+             + (tau * maps.speed_p - maps.gap_p).T
+             @ (w_rd * eps ** 2 / smooth ** 3 * (omega @ y)))
+    sens = np.zeros(len(u) + 1)
+    sens[:-1] = maps.speed_p.T @ speed_grad - cross
+    sens[1:] += 2 * w_rs * (V @ y)
+    return f, grad, newton, majorizer, speed_grad, sens
+
+
+def test_response_kernel_matches_direct_formulas():
+    # the cached blocks are keyed by horizon and weights: weight sets that
+    # differ in w or only in the headway, on two horizons rebuilt in the
+    # other order after the horizon-map cache is dropped, must each
+    # reproduce the term-by-term formulas
+    w_set = (weights(), weights(tau=1.1, ds=3.0),
+             weights(w=(0.4, 0.2, 0.9, 2.5), tau=1.1, ds=3.0))
+    x0 = dynamics.LongitudinalState(gap=28.0, speed=19.5, accel=0.3)
+    hcs = {"inactive": constraints(v_min=0.0, v_max=40.0, d_min=1.0),
+           "active": constraints(v_min=19.2, v_max=19.8, d_min=27.5)}
+
+    def close(got, want):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    penalty, eps = dm.defaults.PENALTY_WEIGHT, dm.defaults.SMOOTH_EPS
+    for horizons in ((30, 12), (12, 30)):
+        dynamics._MAPS_CACHE.clear()
+        for n in horizons:
+            rng = np.random.default_rng(n)
+            maps = dynamics.build_horizon_maps(DISC, n)
+            leader = 19.5 + np.cumsum(rng.normal(0.0, 0.3, n + 1))
+            u = rng.normal(0.0, 1.5, n)
+            for w, (label, hc) in itertools.product(w_set, hcs.items()):
+                prob = dm._ResponseProblem(maps, x0, leader, w, hc, 25.0,
+                                           penalty, eps=eps)
+                assert (prob.max_violation(u) > 0) == (label == "active")
+                f, grad, newton, majorizer, speed_grad, sens = \
+                    direct_response_terms(maps, x0, leader, w, hc, 25.0,
+                                          penalty, eps, u)
+                got_f, got_grad = prob.value_grad(u)
+                close(np.array([got_f]), np.array([f]))
+                close(got_grad, grad)
+                close(prob.hessian(*prob.curvature(u)), newton)
+                close(prob.hessian(*prob.curvature(u, majorize=True)),
+                      majorizer)
+                close(prob.leader_sensitivity(u, speed_grad), sens)
+
+
+def test_spd_solve_matches_lu_and_rejects_indefinite():
+    rng = np.random.default_rng(11)
+    root = rng.normal(size=(30, 30))
+    spd = root @ root.T + 30.0 * np.eye(30)
+    b = rng.normal(size=30)
+    want = np.linalg.solve(spd, b)
+    got = dm._spd_solve(spd, b)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    indefinite = spd - 2.0 * np.linalg.eigvalsh(spd)[-1] * np.eye(30) / 3.0
+    assert np.min(np.linalg.eigvalsh(indefinite)) < 0
+    with pytest.raises(np.linalg.LinAlgError):
+        dm._spd_solve(indefinite, b)
+
+
 def make_demo(T=40, dt=0.1, seed=0):
     rng = np.random.default_rng(seed)
     t = np.arange(T) * dt
