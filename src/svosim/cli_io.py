@@ -15,25 +15,28 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import defaults
 from .controller import AvConstraints, EgoisticParams, SvoConfig
+# respond_to_leader and step stay imported: perfbench/layers.py traces them
 from .driver_model import (Demonstration, DriverWeights, FEATURE_NAMES,
                            HumanConstraints, fit_weights_maxent,
-                           load_demonstration_csv, respond_to_leader,
-                           save_demonstration_csv)
+                           load_demonstration_csv, replan_rollout,
+                           respond_to_leader, save_demonstration_csv)
 from .dynamics import (DiscreteDynamics, LongitudinalState, build_continuous,
-                       discretize_zoh, hold_last, step)
+                       discretize_zoh, step)
 from .errors import (CollisionError, FitDivergenceError,
                      InvalidParameterError, SimulationError, TraceParseError)
 from .simulation import (EpisodeTrace, Scenario, TrafficMetrics,
-                         VEHICLE_LABELS, compute_metrics, run_episode,
+                         VEHICLE_LABELS, build_scenario, compute_metrics,
+                         run_episode, scenario_constraints, scenario_idm,
                          sweep_svo, synthetic_pv_profile)
-from .traffic_flow import IdmParams, equilibrium_gap
+from .traffic_flow import IdmParams
 
 ARTIFACT_VERSION = "0.1.0"
 SWEEP_LEVELS = (0.0, math.pi / 12, math.pi / 6, math.pi / 4)
@@ -41,9 +44,25 @@ FT_TO_M = 0.3048
 SYNTHETIC_SCENARIO = "synthetic-default"
 
 PV_PROFILE_HEADER = ["t", "speed_mps"]
-TRACE_COLUMNS = ["step", "t", "vehicle", "pv_speed_mps", "gap_m",
-                 "speed_mps", "accel_mps2", "control_mps2", "cost_egoistic",
-                 "cost_courtesy", "cost_total", "converged", "inner_feasible"]
+# trace.csv columns in file order -> (EpisodeTrace field, kind).  Rows run
+# step-major, keyed by the "index" and "label" columns; a "vehicle" column
+# holds a per-vehicle field, and "step" and "flag" columns repeat a
+# per-step float or 0/1 boolean on each vehicle row of the step.
+TRACE_COLUMNS = {
+    "step": (None, "index"),
+    "t": ("t", "step"),
+    "vehicle": (None, "label"),
+    "pv_speed_mps": ("pv_speeds", "step"),
+    "gap_m": ("gaps", "vehicle"),
+    "speed_mps": ("speeds", "vehicle"),
+    "accel_mps2": ("accels", "vehicle"),
+    "control_mps2": ("controls", "vehicle"),
+    "cost_egoistic": ("cost_egoistic", "step"),
+    "cost_courtesy": ("cost_courtesy", "step"),
+    "cost_total": ("cost_total", "step"),
+    "converged": ("converged", "flag"),
+    "inner_feasible": ("inner_feasible", "flag"),
+}
 _TRACE_MAGIC = "# svosim trace 1"
 
 # published I-80 column layout; indices into a whitespace- or
@@ -462,10 +481,6 @@ def load_weights_file(path) -> DriverWeights:
 # Result export
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def export_results(trace: EpisodeTrace, metrics: TrafficMetrics, outdir,
                    config_echo: dict | None = None) -> tuple:
     """Write trace.csv and metrics.json under outdir; returns both paths.
@@ -483,22 +498,27 @@ def export_results(trace: EpisodeTrace, metrics: TrafficMetrics, outdir,
     metrics_path = out / "metrics.json"
 
     lines = [_TRACE_MAGIC,
-             f"# dt = {_fmt(trace.dt)}",
-             f"# v_limit = {_fmt(trace.v_limit)}",
-             f"# phi = {_fmt(trace.phi)}",
+             f"# dt = {float(trace.dt)!r}",
+             f"# v_limit = {float(trace.v_limit)!r}",
+             f"# phi = {float(trace.phi)!r}",
              f"# label = {trace.label}",
              ",".join(TRACE_COLUMNS)]
-    n_veh = trace.gaps.shape[0]
-    for i in range(len(trace)):
-        shared = [_fmt(trace.cost_egoistic[i]), _fmt(trace.cost_courtesy[i]),
-                  _fmt(trace.cost_total[i]), str(int(trace.converged[i])),
-                  str(int(trace.inner_feasible[i]))]
-        for v in range(n_veh):
-            row = [str(i), _fmt(trace.t[i]), VEHICLE_LABELS[v],
-                   _fmt(trace.pv_speeds[i]), _fmt(trace.gaps[v, i]),
-                   _fmt(trace.speeds[v, i]), _fmt(trace.accels[v, i]),
-                   _fmt(trace.controls[v, i])] + shared
-            lines.append(",".join(row))
+    n, n_veh = len(trace), trace.gaps.shape[0]
+    columns = []
+    for name, kind in TRACE_COLUMNS.values():
+        if kind == "label":
+            cells = VEHICLE_LABELS[:n_veh] * n
+        elif kind == "vehicle":
+            cells = map(repr, getattr(trace, name).astype(float).T
+                        .ravel().tolist())
+        else:
+            values = np.arange(n) if kind == "index" else \
+                getattr(trace, name).astype(int if kind == "flag" else float)
+            # format each step once, then repeat it on its vehicle rows
+            cells = chain.from_iterable(
+                zip(*[list(map(repr, values.tolist()))] * n_veh))
+        columns.append(cells)
+    lines.extend(map(",".join, zip(*columns)))
     trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     pairs = []
@@ -543,43 +563,34 @@ def load_trace_csv(path) -> EpisodeTrace:
     rows = [line.split(",") for line in lines[body_start + 1:] if line]
     if not rows:
         raise TraceParseError(f"{path}: no data rows", line=body_start + 2)
-    n_veh = len({r[2] for r in rows})
-    if len(rows) % n_veh != 0:
-        raise TraceParseError(f"{path}: ragged vehicle blocks")
-    n = len(rows) // n_veh
-    gaps = np.zeros((n_veh, n))
-    speeds = np.zeros((n_veh, n))
-    accels = np.zeros((n_veh, n))
-    controls = np.zeros((n_veh, n))
-    t = np.zeros(n)
-    pv = np.zeros(n)
-    ce = np.zeros(n)
-    cc = np.zeros(n)
-    ct = np.zeros(n)
-    conv = np.zeros(n, dtype=bool)
-    feas = np.zeros(n, dtype=bool)
-    order = {label: i for i, label in enumerate(VEHICLE_LABELS[:n_veh])}
     for lineno, r in enumerate(rows, start=body_start + 2):
-        try:
-            i = int(r[0])
-            v = order[r[2]]
-            t[i] = float(r[1])
-            pv[i] = float(r[3])
-            gaps[v, i] = float(r[4])
-            speeds[v, i] = float(r[5])
-            accels[v, i] = float(r[6])
-            controls[v, i] = float(r[7])
-            ce[i] = float(r[8])
-            cc[i] = float(r[9])
-            ct[i] = float(r[10])
-            conv[i] = bool(int(r[11]))
-            feas[i] = bool(int(r[12]))
-        except (ValueError, KeyError, IndexError):
+        if len(r) != len(TRACE_COLUMNS):
             raise TraceParseError(f"{path}: bad row {r!r}", line=lineno)
-    return EpisodeTrace(t=t, pv_speeds=pv, gaps=gaps, speeds=speeds,
-                        accels=accels, controls=controls, cost_egoistic=ce,
-                        cost_courtesy=cc, cost_total=ct, converged=conv,
-                        inner_feasible=feas, dt=float(meta["dt"]),
+    cells = dict(zip(TRACE_COLUMNS, zip(*rows)))
+    n_veh = len(set(cells["vehicle"]))
+    n = len(rows) // n_veh
+    if cells["vehicle"] != VEHICLE_LABELS[:n_veh] * n or cells["step"] \
+            != tuple(str(i) for i in range(n) for _ in range(n_veh)):
+        raise TraceParseError(f"{path}: ragged or out-of-order vehicle rows")
+    arrays = {}
+    for column, (name, kind) in TRACE_COLUMNS.items():
+        if name is None:
+            continue
+        # per-step values are read off each step's first vehicle row
+        stride = 1 if kind == "vehicle" else n_veh
+        col = cells[column]
+        if any(col[k::stride] != col[::stride] for k in range(1, stride)):
+            raise TraceParseError(
+                f"{path}: {column} differs between the rows of a step")
+        try:
+            values = np.array(list(map(int if kind == "flag" else float,
+                                       col[::stride])))
+        except ValueError as exc:
+            raise TraceParseError(f"{path}: bad {column}: {exc}") from None
+        if kind == "vehicle":
+            values = values.reshape(n, n_veh).T.copy()
+        arrays[name] = values != 0 if kind == "flag" else values
+    return EpisodeTrace(**arrays, dt=float(meta["dt"]),
                         v_limit=float(meta["v_limit"]),
                         phi=float(meta["phi"]), label=meta.get("label", ""))
 
@@ -615,22 +626,11 @@ def synthesize_demonstrations(w: DriverWeights, hc: HumanConstraints,
                                   np.full(tail, v_b)])
         gap0 = w.min_gap + w.tau_headway * v_a + float(rng.uniform(-2.0, 4.0))
         x = LongitudinalState(max(gap0, w.min_gap + 1.0), v_a, 0.0)
-        T = len(profile)
-        t = np.arange(T) * disc.dt
-        gaps = np.zeros(T)
-        spds = np.zeros(T)
-        accs = np.zeros(T)
-        ctrl = np.zeros(T)
-        warm = None
-        for i in range(T):
-            gaps[i], spds[i], accs[i] = x.gap, x.speed, x.accel
-            preview = hold_last(profile[i:], n_steps + 1)
-            resp = respond_to_leader(x, preview, w, hc, disc, n_steps,
-                                     v_limit, warm_start=warm)
-            warm = np.append(resp.controls[1:], resp.controls[-1])
-            ctrl[i] = float(resp.controls[0])
-            x = step(disc, x, ctrl[i], float(profile[i]))
-        demos.append(Demonstration(t=t, gaps=gaps, speeds=spds, accels=accs,
+        states, ctrl = replan_rollout(x, profile, len(profile), w, hc, disc,
+                                      n_steps, v_limit)
+        gaps, spds, accs = states[:, :-1]
+        demos.append(Demonstration(t=np.arange(len(profile)) * disc.dt,
+                                   gaps=gaps, speeds=spds, accels=accs,
                                    leader_speeds=profile, controls=ctrl))
     return demos
 
@@ -650,16 +650,19 @@ class ExperimentSetup:
     notes: tuple
 
 
+def _driver_weights(config: ExperimentConfig) -> DriverWeights:
+    """The config's driver weights: its weights file, else its fields."""
+    if config.weights_file is not None:
+        return load_weights_file(config.weights_file)
+    return DriverWeights(w=config.weights, tau_headway=config.tau_headway,
+                         min_gap=config.min_gap)
+
+
 def build_setup(config: ExperimentConfig) -> ExperimentSetup:
     """Resolve the config into ready-to-run experiment objects."""
-    notes = []
-    if config.weights_file is not None:
-        weights = load_weights_file(config.weights_file)
-        notes.append(f"weights from {config.weights_file}")
-    else:
-        weights = DriverWeights(w=config.weights,
-                                tau_headway=config.tau_headway,
-                                min_gap=config.min_gap)
+    weights = _driver_weights(config)
+    notes = [] if config.weights_file is None \
+        else [f"weights from {config.weights_file}"]
     dt = config.dt
     if config.scenario == SYNTHETIC_SCENARIO:
         pv = synthetic_pv_profile(dt)
@@ -684,34 +687,15 @@ def build_setup(config: ExperimentConfig) -> ExperimentSetup:
             notes.append(
                 f"clamped {loaded.clamped_negative} negative speeds")
 
-    v0 = float(pv[0])
-    idm = IdmParams(max_accel=defaults.IDM_MAX_ACCEL,
-                    comfort_decel=defaults.IDM_COMFORT_DECEL,
-                    min_spacing=defaults.IDM_MIN_SPACING,
-                    time_gap=defaults.IDM_TIME_GAP_S,
-                    exponent=defaults.IDM_EXPONENT,
-                    desired_speed=float(np.max(pv)))
-    scn = Scenario(
-        pv_speeds=pv, dt=dt, v_limit=config.speed_limit,
-        x_av=LongitudinalState(
-            config.min_gap + config.av_time_headway * v0, v0, 0.0),
-        x_hv0=LongitudinalState(
-            weights.min_gap + weights.tau_headway * v0, v0, 0.0),
-        fleet=tuple(LongitudinalState(equilibrium_gap(v0, idm), v0, 0.0)
-                    for _ in range(3)),
-        label=label)
-    cons = AvConstraints(d_min=config.min_gap, d_max=config.max_gap,
-                         v_min=defaults.SPEED_MIN,
-                         v_max=float(np.max(pv)),
-                         u_min=defaults.CONTROL_MIN,
-                         u_max=defaults.CONTROL_MAX,
-                         a_min=defaults.ACCEL_MIN,
-                         a_max=defaults.ACCEL_MAX)
     ego = EgoisticParams(min_gap=config.min_gap,
                          time_headway=config.av_time_headway)
+    scn = build_scenario(pv, dt, config.speed_limit, ego, weights, label)
+    cons = replace(scenario_constraints(scn), d_min=config.min_gap,
+                   d_max=config.max_gap)
     disc = discretize_zoh(build_continuous(config.actuation_lag), dt)
-    return ExperimentSetup(scenario=scn, cons=cons, ego=ego, idm=idm,
-                           disc=disc, weights=weights, notes=tuple(notes))
+    return ExperimentSetup(scenario=scn, cons=cons, ego=ego,
+                           idm=scenario_idm(scn), disc=disc, weights=weights,
+                           notes=tuple(notes))
 
 
 def _log_config(config: ExperimentConfig, extra: dict | None = None) -> None:
@@ -837,11 +821,9 @@ def _cmd_extract_ngsim(config: ExperimentConfig, dataset, vehicle: int) -> int:
 
 def _cmd_gen_demos(config: ExperimentConfig, count: int) -> int:
     _log_config(config, {"count": count})
-    weights = DriverWeights(w=config.weights,
-                            tau_headway=config.tau_headway,
-                            min_gap=config.min_gap)
+    weights = _driver_weights(config)
     hc = HumanConstraints(v_min=defaults.SPEED_MIN,
-                          v_max=config.speed_limit, d_min=config.min_gap)
+                          v_max=config.speed_limit, d_min=weights.min_gap)
     disc = discretize_zoh(build_continuous(config.actuation_lag), config.dt)
     demos = synthesize_demonstrations(weights, hc, disc, config.speed_limit,
                                       count, config.seed)

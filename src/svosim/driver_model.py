@@ -520,6 +520,29 @@ def best_response(x_av: LongitudinalState, x_human: LongitudinalState,
                              v_limit, warm_start=warm_start)
 
 
+def replan_rollout(x0: LongitudinalState, leader_speeds, n_applied: int,
+                   weights: DriverWeights, hc: HumanConstraints,
+                   disc: DiscreteDynamics, n_steps: int,
+                   v_limit: float) -> tuple:
+    """Receding-horizon driver rollout behind a known leader profile.
+
+    Step i solves the best response to leader_speeds[i:] (held at its
+    last sample), warm-started from the previous response shifted by
+    one step, and applies its first control while the leader holds
+    leader_speeds[i].  Returns the gap, speed and accel rows of the
+    n_applied + 1 visited states (x0 first) and the applied controls.
+    """
+    xs, controls, warm = [x0], [], None
+    for i in range(n_applied):
+        preview = hold_last(leader_speeds[i:], n_steps + 1)
+        resp = respond_to_leader(xs[-1], preview, weights, hc, disc,
+                                 n_steps, v_limit, warm_start=warm)
+        warm = np.append(resp.controls[1:], resp.controls[-1])
+        controls.append(float(resp.controls[0]))
+        xs.append(step(disc, xs[-1], controls[-1], float(leader_speeds[i])))
+    return np.array([x.as_array() for x in xs]).T, np.array(controls)
+
+
 # ---------------------------------------------------------------------------
 # Demonstration files
 
@@ -618,34 +641,13 @@ def estimate_tau_headway(demos) -> float:
     return best
 
 
-def _demo_feature_sum(demo: Demonstration, weights: DriverWeights,
-                      v_limit: float) -> np.ndarray:
-    total = np.zeros(4)
-    for i in range(len(demo)):
-        total += features(demo.state(i), float(demo.leader_speeds[i]),
-                          v_limit, weights.tau_headway,
-                          weights.min_gap).as_array()
-    return total
-
-
-def _model_feature_sum(demo: Demonstration, weights: DriverWeights,
-                       hc: HumanConstraints, disc: DiscreteDynamics,
-                       v_limit: float, n_steps: int) -> np.ndarray:
-    """Features along a receding-horizon re-plan of the demonstration."""
-    x = demo.state(0)
-    total = features(x, float(demo.leader_speeds[0]), v_limit,
-                     weights.tau_headway, weights.min_gap).as_array()
-    warm = None
-    for i in range(len(demo) - 1):
-        preview = hold_last(demo.leader_speeds[i:], n_steps + 1)
-        resp = respond_to_leader(x, preview, weights, hc, disc, n_steps,
-                                 v_limit, warm_start=warm)
-        warm = np.append(resp.controls[1:], resp.controls[-1])
-        x = step(disc, x, float(resp.controls[0]),
-                 float(demo.leader_speeds[i]))
-        total += features(x, float(demo.leader_speeds[i + 1]), v_limit,
-                          weights.tau_headway, weights.min_gap).as_array()
-    return total
+def _feature_sum(gaps, speeds, accels, leader_speeds, v_limit: float,
+                 weights: DriverWeights) -> np.ndarray:
+    """Stage features (as features()) summed over a sampled trajectory."""
+    desired_gap = speeds * weights.tau_headway + weights.min_gap
+    return np.stack([accels ** 2, (v_limit - speeds) ** 2,
+                     (leader_speeds - speeds) ** 2,
+                     np.abs(desired_gap - gaps)]).sum(axis=1)
 
 
 def fit_weights_maxent(demos, w0: DriverWeights, learn_rate: float = 0.2,
@@ -668,14 +670,21 @@ def fit_weights_maxent(demos, w0: DriverWeights, learn_rate: float = 0.2,
     pins it.
 
     Raises:
+        InvalidParameterError: a demonstration's dt differs from disc.dt.
         FitDivergenceError: a weight exceeded weight_cap.
     """
     if not demos:
         raise InvalidParameterError("need at least one demonstration")
+    for demo in demos:
+        if len(demo) > 1 and abs(demo.dt - disc.dt) > 1e-9:
+            raise InvalidParameterError(
+                f"dynamics step {disc.dt} differs from demonstration dt "
+                f"{demo.dt}")
     tau = float(tau_override) if tau_override is not None \
         else estimate_tau_headway(demos)
     current = DriverWeights(w=w0.w, tau_headway=tau, min_gap=w0.min_gap)
-    demo_feats = np.mean([_demo_feature_sum(d, current, v_limit)
+    demo_feats = np.mean([_feature_sum(d.gaps, d.speeds, d.accels,
+                                       d.leader_speeds, v_limit, current)
                           for d in demos], axis=0)
     scale = np.maximum(np.abs(demo_feats), 1e-8)
 
@@ -684,9 +693,13 @@ def fit_weights_maxent(demos, w0: DriverWeights, learn_rate: float = 0.2,
     converged = False
     iterations = 0
     for it in range(max_iters):
-        model_feats = np.mean([_model_feature_sum(d, current, hc, disc,
-                                                  v_limit, n_steps)
-                               for d in demos], axis=0)
+        # features along a receding-horizon re-plan of each demonstration
+        replans = [replan_rollout(d.state(0), d.leader_speeds, len(d) - 1,
+                                  current, hc, disc, n_steps, v_limit)[0]
+                   for d in demos]
+        model_feats = np.mean([_feature_sum(*states, d.leader_speeds, v_limit,
+                                            current)
+                               for states, d in zip(replans, demos)], axis=0)
         mismatch = np.abs(model_feats - demo_feats) / scale
         if np.max(mismatch) <= tol:
             converged = True

@@ -10,7 +10,7 @@ each follower pair's average gap and average time headway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,30 +159,34 @@ def scenario_idm(scn: Scenario) -> IdmParams:
                      desired_speed=float(np.max(scn.pv_speeds)))
 
 
-def default_scenario(dt: float = defaults.STEP_S) -> Scenario:
-    """Synthetic scenario with every vehicle starting at its equilibrium.
+def build_scenario(pv_speeds, dt: float, v_limit: float,
+                   ego: EgoisticParams, w_h: DriverWeights,
+                   label: str = "") -> Scenario:
+    """Scenario over a lead profile with every vehicle at its equilibrium.
 
     The automated vehicle starts at its headway-policy gap, the modeled
-    driver at the gap that zeroes its cost features, and the fleet at
-    the model equilibrium gap, all at the profile's initial speed.
+    driver at the gap that zeroes its cost features, and the
+    FLEET_SIZE fleet vehicles at the equilibrium gap of scenario_idm,
+    all at the profile's initial speed.
     """
-    pv = synthetic_pv_profile(dt)
-    v0 = float(pv[0])
-    idm = IdmParams(max_accel=defaults.IDM_MAX_ACCEL,
-                    comfort_decel=defaults.IDM_COMFORT_DECEL,
-                    min_spacing=defaults.IDM_MIN_SPACING,
-                    time_gap=defaults.IDM_TIME_GAP_S,
-                    exponent=defaults.IDM_EXPONENT,
-                    desired_speed=float(np.max(pv)))
-    gap_eq = equilibrium_gap(v0, idm)
-    return Scenario(
-        pv_speeds=pv, dt=dt, v_limit=defaults.DEFAULT_SPEED_LIMIT,
-        x_av=LongitudinalState(
-            defaults.MIN_GAP_M + defaults.AV_TIME_HEADWAY_S * v0, v0, 0.0),
-        x_hv0=LongitudinalState(
-            defaults.MIN_GAP_M + defaults.HUMAN_TIME_HEADWAY_S * v0, v0, 0.0),
-        fleet=tuple(LongitudinalState(gap_eq, v0, 0.0)
-                    for _ in range(FLEET_SIZE)),
+    v0 = float(pv_speeds[0])
+    scn = Scenario(
+        pv_speeds=pv_speeds, dt=dt, v_limit=v_limit,
+        x_av=LongitudinalState(ego.min_gap + ego.time_headway * v0, v0, 0.0),
+        x_hv0=LongitudinalState(w_h.min_gap + w_h.tau_headway * v0, v0, 0.0),
+        fleet=(), label=label)
+    x_fleet = LongitudinalState(equilibrium_gap(v0, scenario_idm(scn)), v0,
+                                0.0)
+    return replace(scn, fleet=(x_fleet,) * FLEET_SIZE)
+
+
+def default_scenario(dt: float = defaults.STEP_S) -> Scenario:
+    """Shipped synthetic profile at the default parameters."""
+    return build_scenario(
+        synthetic_pv_profile(dt), dt, defaults.DEFAULT_SPEED_LIMIT,
+        EgoisticParams(defaults.MIN_GAP_M, defaults.AV_TIME_HEADWAY_S),
+        DriverWeights(defaults.DEFAULT_WEIGHTS,
+                      defaults.HUMAN_TIME_HEADWAY_S, defaults.MIN_GAP_M),
         label="synthetic-default")
 
 

@@ -391,7 +391,11 @@ def test_synthesized_demos_deterministic():
         assert np.all(np.isfinite(demo.controls))
 
 
-def test_cli_gen_demos_then_fit_zero_iters(tmp_path):
+def test_cli_gen_demos_then_fit_zero_iters(tmp_path, capsys):
+    from svosim.driver_model import (HumanConstraints,
+                                     load_demonstration_csv,
+                                     save_demonstration_csv)
+    from svosim.dynamics import build_continuous, discretize_zoh
     demo_dir = tmp_path / "demos"
     rc = cli_main(["gen-demos", "--count", "1", "--seed", "3",
                    "--outdir", str(demo_dir)])
@@ -405,6 +409,36 @@ def test_cli_gen_demos_then_fit_zero_iters(tmp_path):
     fitted = load_weights_file(fit_dir / "fitted_weights.txt")
     assert fitted.w == (1.0, 1.0, 1.0, 1.0)
     assert fitted.tau_headway > 0
+
+    # gen-demos drives the weights a weights file names, min_gap included
+    w = DriverWeights((0.3, 1.0, 0.2, 0.6), 1.2, 4.0)
+    wfile = tmp_path / "w.txt"
+    save_weights_file(wfile, w)
+    rc = cli_main(["gen-demos", "--count", "1", "--seed", "3",
+                   "--weights-file", str(wfile),
+                   "--outdir", str(tmp_path / "wdemos")])
+    assert rc == 0
+    ours = load_demonstration_csv(tmp_path / "wdemos" / "demo_00.csv")
+    disc = discretize_zoh(build_continuous(defaults.ACTUATION_LAG_S), 0.1)
+    [expected] = synthesize_demonstrations(
+        w, HumanConstraints(0.0, 25.0, 4.0), disc, 25.0, 1, seed=3)
+    for name in ("t", "gaps", "speeds", "accels", "leader_speeds",
+                 "controls"):
+        assert np.array_equal(getattr(ours, name), getattr(expected, name))
+    assert not np.array_equal(ours.gaps,
+                              load_demonstration_csv(demo_path).gaps)
+
+    # fit refuses demonstrations recorded at another step than --dt
+    slow = load_demonstration_csv(demo_path)
+    slow_path = tmp_path / "slow.csv"
+    save_demonstration_csv(slow_path, type(slow)(
+        t=slow.t / 2, gaps=slow.gaps, speeds=slow.speeds, accels=slow.accels,
+        leader_speeds=slow.leader_speeds, controls=slow.controls))
+    capsys.readouterr()
+    rc = cli_main(["fit", "--demos", str(slow_path), "--iters", "0",
+                   "--outdir", str(fit_dir)])
+    assert rc == 1
+    assert "differs from demonstration dt 0.05" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

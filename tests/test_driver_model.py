@@ -70,6 +70,18 @@ def test_features_nonnegative_random():
         assert np.all(fv.as_array() >= 0)
 
 
+def test_feature_sum_matches_features_loop():
+    demo = make_demo(T=60)
+    w = weights(tau=1.0)    # the gap offset changes sign along the demo
+    ref = sum(dm.features(demo.state(i), float(demo.leader_speeds[i]), 25.0,
+                          w.tau_headway, w.min_gap).as_array()
+              for i in range(len(demo)))
+    # nonnegative float64 terms: only the summation order differs
+    np.testing.assert_allclose(
+        dm._feature_sum(demo.gaps, demo.speeds, demo.accels,
+                        demo.leader_speeds, 25.0, w), ref, rtol=1e-12)
+
+
 def test_stage_cost_examples():
     zero = dm.FeatureVector(0, 0, 0, 0)
     assert dm.human_stage_cost(zero, weights(w=(1, 1, 1, 1))) == 0.0
@@ -411,6 +423,11 @@ def test_fit_zero_iters_returns_initial_weights():
     assert out.weights.w == w0.w
     assert out.iterations == 0
     assert not out.converged
+    # demonstrations recorded at another step than the dynamics'
+    with pytest.raises(InvalidParameterError, match="differs"):
+        dm.fit_weights_maxent([make_demo(dt=0.05)], w0, 0.2, 0, 0.05,
+                              hc=constraints(), disc=DISC, v_limit=25.0,
+                              n_steps=10, tau_override=1.5)
 
 
 def test_fit_degenerate_fixed_point_terminates_at_w0():
@@ -458,6 +475,22 @@ def synth_demo_from_model(w_true, leader_profile, x0, T, n_steps=12,
                             accels=np.array(accels),
                             leader_speeds=leader_profile[:T],
                             controls=np.array(controls))
+
+
+def test_replan_rollout_matches_reference_loop():
+    w = weights(w=(0.1, 1.0, 0.5, 0.3))
+    profile = np.concatenate([np.full(10, 18.0), np.linspace(18, 12, 15),
+                              np.full(15, 12.0)])
+    x0 = dynamics.LongitudinalState(30.0, 18.0, 0.0)
+    ref = synth_demo_from_model(w, profile, x0, len(profile))
+    states, controls = dm.replan_rollout(x0, profile, len(profile), w,
+                                         constraints(), DISC, 12, 25.0)
+    assert np.array_equal(controls, ref.controls)
+    assert np.array_equal(states[:, :-1],
+                          np.vstack([ref.gaps, ref.speeds, ref.accels]))
+    last = dynamics.step(DISC, ref.state(len(ref) - 1), controls[-1],
+                         profile[-1])
+    assert np.array_equal(states[:, -1], last.as_array())
 
 
 def test_fit_round_trip_matches_feature_sums():

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from svosim.cli_io import ExperimentConfig, build_setup
 from svosim.controller import (AvConstraints, EgoisticParams, SvoConfig)
 from svosim.driver_model import DriverWeights
 from svosim.dynamics import LongitudinalState, build_continuous, \
@@ -64,6 +66,14 @@ def test_default_scenario_consistent():
     assert len(scn.fleet) == 3
     assert scenario_constraints(scn).v_max == 22.0
     assert scenario_idm(scn).desired_speed == 22.0
+    # the CLI's default config builds the same experiment
+    setup = build_setup(ExperimentConfig())
+    for f in fields(Scenario):
+        ours, theirs = getattr(setup.scenario, f.name), getattr(scn, f.name)
+        assert np.array_equal(ours, theirs) if f.name == "pv_speeds" \
+            else ours == theirs, f.name
+    assert setup.cons == scenario_constraints(scn)
+    assert setup.idm == scenario_idm(scn)
 
 
 def test_scenario_validation():
