@@ -552,11 +552,20 @@ def load_trace_csv(path) -> EpisodeTrace:
     body_start = None
     for i, line in enumerate(lines[1:], start=1):
         if line.startswith("# "):
-            key, value = (p.strip() for p in line[2:].split("=", 1))
-            meta[key] = value
+            key, sep, value = line[2:].partition("=")
+            if not sep:
+                raise TraceParseError(f"{path}: metadata line without '='",
+                                      line=i + 1)
+            meta[key.strip()] = value.strip()
         else:
             body_start = i
             break
+    try:
+        scalars = {key: float(meta[key]) for key in ("dt", "v_limit", "phi")}
+    except KeyError as exc:
+        raise TraceParseError(f"{path}: missing metadata {exc}") from None
+    except ValueError as exc:
+        raise TraceParseError(f"{path}: bad metadata: {exc}") from None
     if body_start is None or lines[body_start] != ",".join(TRACE_COLUMNS):
         raise TraceParseError(f"{path}: missing column header",
                               line=(body_start or 1) + 1)
@@ -590,9 +599,7 @@ def load_trace_csv(path) -> EpisodeTrace:
         if kind == "vehicle":
             values = values.reshape(n, n_veh).T.copy()
         arrays[name] = values != 0 if kind == "flag" else values
-    return EpisodeTrace(**arrays, dt=float(meta["dt"]),
-                        v_limit=float(meta["v_limit"]),
-                        phi=float(meta["phi"]), label=meta.get("label", ""))
+    return EpisodeTrace(**arrays, **scalars, label=meta.get("label", ""))
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,16 @@ class PredictedTrajectory:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """One plan, with the trailing driver's refined response to it.
+
+    hv0_controls is the control sequence of that response, the one
+    hv0_traj predicts.
+    """
+
     u_seq: np.ndarray
     av_traj: PredictedTrajectory
     hv0_traj: PredictedTrajectory
+    hv0_controls: np.ndarray
     cost_egoistic: float
     cost_courtesy: float
     cost_total: float
@@ -260,7 +267,8 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
          ego: EgoisticParams, v_limit: float, disc: DiscreteDynamics,
          warm_start=None, n_steps: int = defaults.HORIZON_STEPS,
          human_constraints: HumanConstraints | None = None,
-         settings: OuterSettings | None = None) -> PlanResult:
+         settings: OuterSettings | None = None,
+         response_warm_start=None) -> PlanResult:
     """Plan the AV control sequence for one receding-horizon step.
 
     Args:
@@ -272,6 +280,9 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
         human_constraints: the trailing driver's constraint set; derived
             from cons and w_h (shared speed window, driver min gap) when
             omitted.
+        response_warm_start: the driver's previous response controls
+            (already shifted) or None; the first inner solve and the
+            final refined response start from it.
 
     Only the first control is meant to be applied; replan each step.
     The caller receives flags instead of exceptions: converged reports
@@ -287,6 +298,8 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
 
     prob = _OuterProblem(x_av, x_h, pv, w_h, hc, cons, ego, v_limit, disc,
                          n_steps, w_e, w_c)
+    if response_warm_start is not None:
+        prob.inner_warm = np.asarray(response_warm_start, dtype=float)
     u, converged = _solve_outer(prob, u0, cons,
                                 settings if settings is not None
                                 else OuterSettings())
@@ -299,8 +312,8 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
     ce = egoistic_cost(av_traj, ego)
     cc = courtesy_cost(hv0_traj, v_limit)
     return PlanResult(u_seq=u, av_traj=av_traj, hv0_traj=hv0_traj,
-                      cost_egoistic=ce, cost_courtesy=cc,
-                      cost_total=w_e * ce + w_c * cc,
+                      hv0_controls=resp.controls, cost_egoistic=ce,
+                      cost_courtesy=cc, cost_total=w_e * ce + w_c * cc,
                       converged=converged, inner_feasible=resp.feasible)
 
 

@@ -108,6 +108,18 @@ class HumanConstraints:
                 f"d_min must be positive, got {self.d_min}")
 
 
+def _uneven_dt(t: np.ndarray) -> tuple[int, str] | None:
+    """The first sample whose time step differs from the first step by
+    more than 1e-6 s, with a message naming it; None if dt is uniform."""
+    steps = np.diff(t)
+    bad = np.flatnonzero(np.abs(steps - steps[:1]) > 1e-6)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k + 1, (f"non-uniform dt at sample {k + 1}: {steps[k]:.8f} s vs "
+                   f"{steps[0]:.8f} s")
+
+
 @dataclass(frozen=True)
 class Demonstration:
     """Recorded human car-following segment at fixed dt."""
@@ -130,13 +142,9 @@ class Demonstration:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidParameterError(
                     f"demonstration column {name} has non-finite entries")
-        if n > 1:
-            steps = np.diff(self.t)
-            bad = np.nonzero(np.abs(steps - steps[0]) > 1e-6)[0]
-            if bad.size:
-                raise InvalidParameterError(
-                    f"non-uniform dt at sample {bad[0] + 1}: "
-                    f"{steps[bad[0]]:.8f} vs {steps[0]:.8f}")
+        uneven = _uneven_dt(self.t)
+        if uneven:
+            raise InvalidParameterError(uneven[1])
 
     @property
     def dt(self) -> float:
@@ -559,7 +567,7 @@ def load_demonstration_csv(path) -> Demonstration:
             column whose spacing varies by more than 1e-6 s (the message
             names the first offending line).
     """
-    rows = []
+    rows, linenos = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -583,17 +591,15 @@ def load_demonstration_csv(path) -> Demonstration:
                 raise TraceParseError(
                     f"{path}: malformed number in {row!r}",
                     line=lineno) from None
+            linenos.append(lineno)
     if not rows:
         raise TraceParseError(f"{path}: no data rows")
     cols = np.array(rows).T
     t = cols[0]
-    if len(t) > 1:
-        steps = np.diff(t)
-        bad = np.nonzero(np.abs(steps - steps[0]) > 1e-6)[0]
-        if bad.size:
-            raise TraceParseError(
-                f"{path}: non-uniform dt ({steps[bad[0]]:.8f} s vs "
-                f"{steps[0]:.8f} s)", line=int(bad[0]) + 3)
+    uneven = _uneven_dt(t)
+    if uneven:
+        raise TraceParseError(f"{path}: {uneven[1]}",
+                              line=linenos[uneven[0]])
     return Demonstration(t=t, gaps=cols[1], speeds=cols[2], accels=cols[3],
                          leader_speeds=cols[4], controls=cols[5])
 

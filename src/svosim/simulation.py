@@ -3,9 +3,11 @@
 One episode advances a five-vehicle chain behind an exogenous lead
 speed profile: the automated vehicle re-plans every step and applies
 the first planned control; the modeled driver behind it applies the
-first control of its best response to the committed plan; three fleet
-vehicles follow under the intelligent-driver model.  Metrics summarize
-each follower pair's average gap and average time headway.
+first control of its best response to the committed plan (the refined
+response the planner already solved, unless the driver runs other
+weights than the planner anticipates); three fleet vehicles follow
+under the intelligent-driver model.  Metrics summarize each follower
+pair's average gap and average time headway.
 """
 
 from __future__ import annotations
@@ -190,6 +192,11 @@ def default_scenario(dt: float = defaults.STEP_S) -> Scenario:
         label="synthetic-default")
 
 
+def _shift(u_seq: np.ndarray) -> np.ndarray:
+    """Warm start for the next step: drop the first control, hold the last."""
+    return np.append(u_seq[1:], u_seq[-1])
+
+
 def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
                 cons: AvConstraints, ego: EgoisticParams, idm: IdmParams,
                 disc: DiscreteDynamics,
@@ -202,12 +209,16 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
     Each step: the automated vehicle re-plans against the remaining
     lead preview and applies its first control; the modeled driver
     applies the first control of its best response to the committed
-    plan; the fleet follows its integrator.  Both planners are
-    warm-started with their previous solution shifted by one step.
+    plan, which is the planner's refined response (PlanResult.
+    hv0_controls); the fleet follows its integrator.  The plan and the
+    planner's driver response are warm-started with their previous
+    solutions shifted by one step.
 
     plant_weights lets the simulated driver run a different weight
     profile than the one the planner anticipates (model-mismatch
-    experiments); they coincide by default.
+    experiments); they coincide by default.  Under a mismatch the
+    driver's response is solved separately each step with
+    plant_weights, warm-started from its own previous response.
 
     Raises:
         CollisionError: a following gap closed to zero or below.
@@ -216,9 +227,10 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
     if abs(disc.dt - scn.dt) > 1e-12:
         raise InvalidParameterError(
             f"dynamics step {disc.dt} differs from scenario dt {scn.dt}")
-    w_plant = plant_weights if plant_weights is not None else w_h
-    hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
-                          d_min=w_plant.min_gap)
+    mismatch = plant_weights is not None and plant_weights != w_h
+    if mismatch:
+        hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
+                              d_min=plant_weights.min_gap)
     n = scn.n_steps
     n_vehicles = 2 + len(scn.fleet)
     gaps = np.zeros((n_vehicles, n))
@@ -236,15 +248,21 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
     fleet = list(scn.fleet)
     warm_plan = None
     warm_resp = None
+    warm_plant = None
     for i in range(n):
         preview = scn.pv_speeds[i:]
         res: PlanResult = plan(x_av, x_h, preview, w_h, svo, cons, ego,
                                scn.v_limit, disc, warm_start=warm_plan,
-                               n_steps=n_steps, settings=plan_settings)
-        resp = best_response(x_av, x_h, res.u_seq, preview, w_plant, hc,
-                             disc, scn.v_limit, warm_start=warm_resp)
+                               n_steps=n_steps, settings=plan_settings,
+                               response_warm_start=warm_resp)
+        u_h_seq = res.hv0_controls
+        if mismatch:
+            u_h_seq = best_response(x_av, x_h, res.u_seq, preview,
+                                    plant_weights, hc, disc, scn.v_limit,
+                                    warm_start=warm_plant).controls
+            warm_plant = _shift(u_h_seq)
         u_av = float(res.u_seq[0])
-        u_h = float(resp.controls[0])
+        u_h = float(u_h_seq[0])
 
         for row, x in enumerate([x_av, x_h] + fleet):
             gaps[row, i] = x.gap
@@ -275,8 +293,8 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
             raise SimulationError(
                 f"{which} gap closed to {min(x_av.gap, x_h.gap):.3f} m "
                 f"at step {i}", step=i)
-        warm_plan = np.append(res.u_seq[1:], res.u_seq[-1])
-        warm_resp = np.append(resp.controls[1:], resp.controls[-1])
+        warm_plan = _shift(res.u_seq)
+        warm_resp = _shift(res.hv0_controls)
 
     return EpisodeTrace(t=np.arange(n) * scn.dt, pv_speeds=scn.pv_speeds,
                         gaps=gaps, speeds=speeds, accels=accels,

@@ -366,6 +366,22 @@ def test_trace_parser_rejects_tampering(run_outdir, tmp_path):
         load_trace_csv(ragged)
 
 
+@pytest.mark.parametrize("dt_line, message", [
+    (None, "missing metadata"),
+    ("# dt 0.1", "without '='"),
+    ("# dt = fast", "bad metadata"),
+], ids=["missing", "no-equals", "non-numeric"])
+def test_trace_parser_rejects_bad_metadata(run_outdir, tmp_path, dt_line,
+                                           message):
+    lines = (run_outdir / "trace.csv").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("# dt "))
+    lines[at:at + 1] = [] if dt_line is None else [dt_line]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError, match=message):
+        load_trace_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # Demonstration synthesis and the fit subcommand
 

@@ -288,6 +288,19 @@ def test_plan_deterministic_and_warm_start_consistent():
                                                              a.cost_total)
 
 
+def test_response_warm_start_leaves_phi_zero_plan():
+    for x_av, x_h, pv in (TRANSIENT, BRAKE, ACCEL):
+        args = (x_av, x_h, pv, WH, ctl.SvoConfig(0.0), CONS, EGO, V_LIMIT,
+                DISC)
+        cold = ctl.plan(*args)
+        shifted = np.append(cold.hv0_controls[1:], cold.hv0_controls[-1])
+        warm = ctl.plan(*args, response_warm_start=shifted)
+        assert np.array_equal(warm.u_seq, cold.u_seq)
+        for name in ("gaps", "speeds", "accels"):
+            assert np.max(np.abs(getattr(warm.hv0_traj, name)
+                                 - getattr(cold.hv0_traj, name))) <= 1e-6
+
+
 def test_infeasible_follower_flagged_not_raised():
     x_av, _, pv = TRANSIENT
     x_h = dynamics.LongitudinalState(3.0, 20.0, 0.0)

@@ -389,6 +389,16 @@ def test_demo_csv_rejects_non_uniform_dt(tmp_path):
     assert err.value.line == 4
 
 
+def test_demo_csv_non_uniform_dt_line_counts_blank_lines(tmp_path):
+    path = tmp_path / "demo.csv"
+    header = ",".join(dm.DEMO_HEADER)
+    path.write_text(f"{header}\n0.0,20,15,0,15,0\n\n0.1,20,15,0,15,0\n"
+                    "0.25,20,15,0,15,0\n")
+    with pytest.raises(TraceParseError) as err:
+        dm.load_demonstration_csv(path)
+    assert err.value.line == 5
+
+
 def test_demo_csv_rejects_malformed_number(tmp_path):
     path = tmp_path / "demo.csv"
     header = ",".join(dm.DEMO_HEADER)

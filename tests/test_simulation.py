@@ -4,9 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from svosim import simulation
 from svosim.cli_io import ExperimentConfig, build_setup
-from svosim.controller import (AvConstraints, EgoisticParams, SvoConfig)
-from svosim.driver_model import DriverWeights
+from svosim.controller import (AvConstraints, EgoisticParams, SvoConfig,
+                               plan)
+from svosim.driver_model import DriverWeights, HumanConstraints, best_response
 from svosim.dynamics import LongitudinalState, build_continuous, \
     discretize_zoh, step
 from svosim.errors import InvalidParameterError, SimulationError
@@ -169,6 +171,94 @@ def test_episode_deterministic(braking_run):
     assert np.array_equal(tr.controls, again.controls)
     assert np.array_equal(tr.cost_total, again.cost_total)
     assert np.array_equal(tr.converged, again.converged)
+
+
+@pytest.fixture(scope="module")
+def egoistic_run():
+    """One 60-step phi = 0 episode over the braking part of the profile."""
+    scn, idm = make_scenario(synthetic_pv_profile()[50:110])
+    cons = scenario_constraints(scn)
+    trace = run_episode(scn, SvoConfig(0.0), WH, cons, EGO, idm, DISC)
+    return scn, idm, cons, trace
+
+
+def _separate_plant_solve_loop(scn, idm, cons):
+    """Closed loop that plans cold and solves the plant's response apart."""
+    hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
+                          d_min=WH.min_gap)
+    x_av, x_h, fleet = scn.x_av, scn.x_hv0, list(scn.fleet)
+    gaps = np.zeros((5, scn.n_steps))
+    controls = np.zeros((2, scn.n_steps))
+    warm_plan = warm_resp = None
+    for i in range(scn.n_steps):
+        preview = scn.pv_speeds[i:]
+        res = plan(x_av, x_h, preview, WH, SvoConfig(0.0), cons, EGO,
+                   scn.v_limit, DISC, warm_start=warm_plan,
+                   settings=simulation.EPISODE_PLAN_SETTINGS)
+        resp = best_response(x_av, x_h, res.u_seq, preview, WH, hc, DISC,
+                             scn.v_limit, warm_start=warm_resp)
+        gaps[:, i] = [x.gap for x in [x_av, x_h] + fleet]
+        controls[:, i] = res.u_seq[0], resp.controls[0]
+        av_speed, hv0_speed = x_av.speed, x_h.speed
+        x_av = step(DISC, x_av, controls[0, i], float(scn.pv_speeds[i]))
+        x_h = step(DISC, x_h, controls[1, i], av_speed)
+        fleet = step_fleet(fleet, hv0_speed, x_h.speed, idm, scn.dt)
+        warm_plan = np.append(res.u_seq[1:], res.u_seq[-1])
+        warm_resp = np.append(resp.controls[1:], resp.controls[-1])
+    return gaps, controls
+
+
+def test_episode_applies_planner_response(egoistic_run):
+    # the plant applies the planner's warm-started refined response in
+    # place of a second solve; the phi = 0 AV plan never reads it, and
+    # the two responses solve the same problem
+    scn, idm, cons, tr = egoistic_run
+    gaps, controls = _separate_plant_solve_loop(scn, idm, cons)
+    assert np.array_equal(tr.gaps[0], gaps[0])
+    assert np.array_equal(tr.controls[0], controls[0])
+    assert np.max(np.abs(tr.gaps[1:] - gaps[1:])) <= 1e-6
+
+
+def _recorded_episode(monkeypatch, scn, idm, cons, plant_weights):
+    """An episode at phi = 0, with the first predicted driver control of
+    every plan it made."""
+    planned = []
+
+    def recording_plan(*args, **kwargs):
+        planned.append(plan(*args, **kwargs))
+        return planned[-1]
+
+    monkeypatch.setattr(simulation, "plan", recording_plan)
+    tr = run_episode(scn, SvoConfig(0.0), WH, cons, EGO, idm, DISC,
+                     plant_weights=plant_weights)
+    return tr, planned
+
+
+def test_plant_weights_equal_to_planner_weights_is_default(egoistic_run,
+                                                           monkeypatch):
+    scn, idm, cons, tr = egoistic_run
+    same, planned = _recorded_episode(monkeypatch, scn, idm, cons, WH)
+    for name in ("gaps", "speeds", "accels", "controls", "cost_total",
+                 "inner_feasible"):
+        assert np.array_equal(getattr(tr, name), getattr(same, name)), name
+    # no second driver solve: the plant applies the planner's response
+    assert np.array_equal(same.controls[1],
+                          [res.hv0_controls[0] for res in planned])
+
+
+def test_mismatched_plant_solves_its_own_response(monkeypatch):
+    scn, idm = make_scenario(synthetic_pv_profile()[50:70])
+    cons = scenario_constraints(scn)
+    other = DriverWeights(w=(1.0, 0.1, 2.0, 0.5), tau_headway=2.0,
+                          min_gap=6.0)
+    tr, planned = _recorded_episode(monkeypatch, scn, idm, cons, other)
+    predicted = np.array([res.hv0_controls[0] for res in planned])
+    assert np.all(np.abs(tr.controls[1] - predicted) > 1e-6)
+    hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
+                          d_min=other.min_gap)
+    first = best_response(scn.x_av, scn.x_hv0, planned[0].u_seq,
+                          scn.pv_speeds, other, hc, DISC, scn.v_limit)
+    assert tr.controls[1, 0] == first.controls[0]
 
 
 def test_sweep_levels_independent_of_order():
