@@ -46,8 +46,9 @@ SYNTHETIC_SCENARIO = "synthetic-default"
 PV_PROFILE_HEADER = ["t", "speed_mps"]
 # trace.csv columns in file order -> (EpisodeTrace field, kind).  Rows run
 # step-major, keyed by the "index" and "label" columns; a "vehicle" column
-# holds a per-vehicle field, and "step" and "flag" columns repeat a
-# per-step float or 0/1 boolean on each vehicle row of the step.
+# holds a per-vehicle field, and "step", "count" and "flag" columns
+# repeat a per-step float, integer or 0/1 boolean on each vehicle row of
+# the step.
 TRACE_COLUMNS = {
     "step": (None, "index"),
     "t": ("t", "step"),
@@ -62,8 +63,11 @@ TRACE_COLUMNS = {
     "cost_total": ("cost_total", "step"),
     "converged": ("converged", "flag"),
     "inner_feasible": ("inner_feasible", "flag"),
+    "outer_iters": ("outer_iters", "count"),
+    "outer_status": ("outer_status", "count"),
 }
-_TRACE_MAGIC = "# svosim trace 1"
+_INT_KINDS = ("flag", "count")
+_TRACE_MAGIC = "# svosim trace 2"
 
 # published I-80 column layout; indices into a whitespace- or
 # comma-delimited row
@@ -513,7 +517,8 @@ def export_results(trace: EpisodeTrace, metrics: TrafficMetrics, outdir,
                         .ravel().tolist())
         else:
             values = np.arange(n) if kind == "index" else \
-                getattr(trace, name).astype(int if kind == "flag" else float)
+                getattr(trace, name).astype(int if kind in _INT_KINDS
+                                            else float)
             # format each step once, then repeat it on its vehicle rows
             cells = chain.from_iterable(
                 zip(*[list(map(repr, values.tolist()))] * n_veh))
@@ -592,8 +597,8 @@ def load_trace_csv(path) -> EpisodeTrace:
             raise TraceParseError(
                 f"{path}: {column} differs between the rows of a step")
         try:
-            values = np.array(list(map(int if kind == "flag" else float,
-                                       col[::stride])))
+            values = np.array(list(map(int if kind in _INT_KINDS
+                                       else float, col[::stride])))
         except ValueError as exc:
             raise TraceParseError(f"{path}: bad {column}: {exc}") from None
         if kind == "vehicle":

@@ -120,7 +120,9 @@ class PlanResult:
     """One plan, with the trailing driver's refined response to it.
 
     hv0_controls is the control sequence of that response, the one
-    hv0_traj predicts.
+    hv0_traj predicts.  outer_iters and outer_status are the SLSQP
+    iteration count and exit status of the outer solve the plan came
+    from (status 9: the iteration cap).
     """
 
     u_seq: np.ndarray
@@ -132,6 +134,8 @@ class PlanResult:
     cost_total: float
     converged: bool
     inner_feasible: bool
+    outer_iters: int
+    outer_status: int
 
 
 def svo_weights(phi: float):
@@ -239,6 +243,7 @@ class _OuterProblem:
 
 def _solve_outer(prob: _OuterProblem, u0: np.ndarray, cons: AvConstraints,
                  settings: OuterSettings):
+    """(u, converged, iterations, status) of the SLSQP solve it keeps."""
     bounds = [(cons.u_min, cons.u_max)] * prob.n
     constraints = [{"type": "ineq", "fun": prob.constraint_values,
                     "jac": lambda u: prob.cons_jac}]
@@ -259,7 +264,7 @@ def _solve_outer(prob: _OuterProblem, u0: np.ndarray, cons: AvConstraints,
     # the accuracy of the courtesy gradient
     converged = bool(res.success) or (res.status == _LINESEARCH_STALLED
                                       and viol <= _FEASIBILITY_TOL)
-    return u, converged
+    return u, converged, int(res.nit), int(res.status)
 
 
 def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
@@ -300,9 +305,8 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
                          n_steps, w_e, w_c)
     if response_warm_start is not None:
         prob.inner_warm = np.asarray(response_warm_start, dtype=float)
-    u, converged = _solve_outer(prob, u0, cons,
-                                settings if settings is not None
-                                else OuterSettings())
+    u, converged, nit, status = _solve_outer(
+        prob, u0, cons, settings if settings is not None else OuterSettings())
 
     g, v, a = prob.av_rollout(u)
     av_traj = PredictedTrajectory(gaps=g, speeds=v, accels=a)
@@ -314,7 +318,8 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
     return PlanResult(u_seq=u, av_traj=av_traj, hv0_traj=hv0_traj,
                       hv0_controls=resp.controls, cost_egoistic=ce,
                       cost_courtesy=cc, cost_total=w_e * ce + w_c * cc,
-                      converged=converged, inner_feasible=resp.feasible)
+                      converged=converged, inner_feasible=resp.feasible,
+                      outer_iters=nit, outer_status=status)
 
 
 def egoistic_plan(x_av: LongitudinalState, pv_preview, cons: AvConstraints,
@@ -336,9 +341,8 @@ def egoistic_plan(x_av: LongitudinalState, pv_preview, cons: AvConstraints,
     prob = _OuterProblem(x_av, LongitudinalState(0, 0, 0), pv, dummy_w,
                          dummy_hc, cons, ego, 0.0, disc, n_steps,
                          w_e=1.0, w_c=0.0)
-    u, converged = _solve_outer(prob, u0, cons,
-                                settings if settings is not None
-                                else OuterSettings())
+    u, converged, _, _ = _solve_outer(
+        prob, u0, cons, settings if settings is not None else OuterSettings())
     g, v, a = prob.av_rollout(u)
     traj = PredictedTrajectory(gaps=g, speeds=v, accels=a)
     return u, traj, egoistic_cost(traj, ego), converged

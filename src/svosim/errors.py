@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from functools import partial
+
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its documented domain."""
@@ -34,6 +36,14 @@ class FitDivergenceError(RuntimeError):
         self.iteration = iteration
         self.weights = weights
         self.mismatch = mismatch
+
+    def __reduce__(self):
+        # the default reduce rebuilds with cls(*args), which lacks the
+        # keyword-only fields: unpickling, e.g. in the parent of a worker
+        # process, would raise TypeError
+        return (partial(type(self), iteration=self.iteration,
+                        weights=self.weights, mismatch=self.mismatch),
+                self.args, self.__dict__)
 
 
 class TraceParseError(ValueError):

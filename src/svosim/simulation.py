@@ -8,11 +8,16 @@ response the planner already solved, unless the driver runs other
 weights than the planner anticipates); three fleet vehicles follow
 under the intelligent-driver model.  Metrics summarize each follower
 pair's average gap and average time headway.
+
+A sweep runs one episode per altruism level, in worker processes up to
+the CPUs this process may use.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -85,6 +90,8 @@ class EpisodeTrace:
     i holds the state at instant i and the action applied over the
     following interval.  The control row of the fleet vehicles repeats
     their model acceleration (their action is not separately commanded).
+    outer_iters and outer_status hold each step's PlanResult fields of
+    the same names.
     """
 
     t: np.ndarray
@@ -98,6 +105,8 @@ class EpisodeTrace:
     cost_total: np.ndarray
     converged: np.ndarray
     inner_feasible: np.ndarray
+    outer_iters: np.ndarray
+    outer_status: np.ndarray
     dt: float
     v_limit: float
     phi: float
@@ -242,6 +251,8 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
     ct = np.zeros(n)
     conv = np.zeros(n, dtype=bool)
     feas = np.zeros(n, dtype=bool)
+    nit = np.zeros(n, dtype=int)
+    status = np.zeros(n, dtype=int)
 
     x_av = scn.x_av
     x_h = scn.x_hv0
@@ -275,6 +286,8 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
         ct[i] = res.cost_total
         conv[i] = res.converged
         feas[i] = res.inner_feasible
+        nit[i] = res.outer_iters
+        status[i] = res.outer_status
 
         av_speed_pre = x_av.speed
         hv0_speed_pre = x_h.speed
@@ -300,7 +313,8 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
                         gaps=gaps, speeds=speeds, accels=accels,
                         controls=controls, cost_egoistic=ce,
                         cost_courtesy=cc, cost_total=ct, converged=conv,
-                        inner_feasible=feas, dt=scn.dt,
+                        inner_feasible=feas, outer_iters=nit,
+                        outer_status=status, dt=scn.dt,
                         v_limit=scn.v_limit, phi=svo.phi, label=scn.label)
 
 
@@ -339,6 +353,30 @@ def compute_metrics(trace: EpisodeTrace,
         headway_speed_floor=v_floor)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_level(svo: SvoConfig, scn: Scenario, w_h: DriverWeights,
+                 cons: AvConstraints, ego: EgoisticParams, idm: IdmParams,
+                 disc: DiscreteDynamics, n_steps: int,
+                 plant_weights: DriverWeights | None,
+                 plan_settings: OuterSettings) -> SweepEntry:
+    """One level's sweep entry; a failed episode becomes its error text."""
+    try:
+        trace = run_episode(scn, svo, w_h, cons, ego, idm, disc,
+                            n_steps=n_steps, plant_weights=plant_weights,
+                            plan_settings=plan_settings)
+    except (SimulationError, CollisionError) as exc:
+        return SweepEntry(phi=svo.phi, trace=None, metrics=None,
+                          error=f"{type(exc).__name__}: {exc}")
+    return SweepEntry(phi=svo.phi, trace=trace,
+                      metrics=compute_metrics(trace), error=None)
+
+
 def sweep_svo(scn: Scenario, levels, w_h: DriverWeights,
               cons: AvConstraints, ego: EgoisticParams, idm: IdmParams,
               disc: DiscreteDynamics,
@@ -348,22 +386,33 @@ def sweep_svo(scn: Scenario, levels, w_h: DriverWeights,
               ) -> tuple:
     """One independent episode per altruism level, identical scenario.
 
-    Episodes share no state, so results are independent of execution
-    order.  A level whose episode fails is reported with the error
-    message in its entry; the sweep continues.
+    Every level is validated before any episode starts.  Episodes share
+    no state, so the levels run in spawned worker processes, one per
+    level up to the CPUs this process may use, and in-process when that
+    is one; entries come back in level order.  Each worker pays one
+    import of svosim and of the caller's main module, so a calling
+    script runs its sweep under `if __name__ == "__main__":`.
+    Results, and the exported trace.csv bytes, equal a serial run at a
+    fixed BLAS thread count.  Workers inherit the BLAS thread variables
+    (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS); pin them
+    to 1 to keep workers from oversubscribing the CPUs.  A level whose
+    episode fails is reported with the error message in its entry; the
+    sweep continues.
     """
     configs = [SvoConfig(float(phi)) for phi in levels]
-    entries = []
-    for svo in configs:
-        try:
-            trace = run_episode(scn, svo, w_h, cons, ego, idm, disc,
-                                n_steps=n_steps,
-                                plant_weights=plant_weights,
-                                plan_settings=plan_settings)
-            entries.append(SweepEntry(phi=svo.phi, trace=trace,
-                                      metrics=compute_metrics(trace),
-                                      error=None))
-        except (SimulationError, CollisionError) as exc:
-            entries.append(SweepEntry(phi=svo.phi, trace=None, metrics=None,
-                                      error=f"{type(exc).__name__}: {exc}"))
-    return tuple(entries)
+    run_level = partial(_sweep_level, scn=scn, w_h=w_h, cons=cons, ego=ego,
+                        idm=idm, disc=disc, n_steps=n_steps,
+                        plant_weights=plant_weights,
+                        plan_settings=plan_settings)
+    workers = min(len(configs), _available_cpus())
+    if workers <= 1:
+        return tuple(map(run_level, configs))
+    # imported here: the pool machinery is not needed to import svosim.
+    # Workers are spawned, not forked: a fork copies no BLAS or OpenMP
+    # worker threads, and their libraries can deadlock in the child
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        return tuple(pool.map(run_level, configs))

@@ -298,12 +298,32 @@ def test_export_roundtrip_recovers_trace_exactly(steady_profile_csv,
     back = load_trace_csv(tmp_path / "trace.csv")
     for name in ("t", "pv_speeds", "gaps", "speeds", "accels", "controls",
                  "cost_egoistic", "cost_courtesy", "cost_total",
-                 "converged", "inner_feasible"):
+                 "converged", "inner_feasible", "outer_iters",
+                 "outer_status"):
         assert np.array_equal(getattr(trace, name), getattr(back, name)), name
     assert back.dt == trace.dt
     assert back.v_limit == trace.v_limit
     assert back.phi == trace.phi
     assert back.label == trace.label
+
+
+def test_export_roundtrip_keeps_outer_counts(tmp_path):
+    from dataclasses import replace
+    from svosim.controller import SvoConfig
+    from svosim.simulation import (EPISODE_PLAN_SETTINGS, compute_metrics,
+                                   run_episode)
+    setup = build_setup(ExperimentConfig())
+    scn = replace(setup.scenario, pv_speeds=setup.scenario.pv_speeds[:20])
+    trace = run_episode(scn, SvoConfig(math.pi / 4), setup.weights,
+                        setup.cons, setup.ego, setup.idm, setup.disc)
+    cli_io.export_results(trace, compute_metrics(trace), tmp_path)
+    back = load_trace_csv(tmp_path / "trace.csv")
+    assert np.array_equal(back.outer_iters, trace.outer_iters)
+    assert np.array_equal(back.outer_status, trace.outer_status)
+    # SLSQP status 9 is its iteration cap
+    capped = trace.outer_status == 9
+    assert capped.any()
+    assert np.all(trace.outer_iters[capped] == EPISODE_PLAN_SETTINGS.max_iters)
 
 
 def test_run_output_parses(run_outdir):
@@ -348,7 +368,9 @@ def test_export_rejects_empty_trace(tmp_path):
         controls=np.zeros((5, 0)), cost_egoistic=np.zeros(0),
         cost_courtesy=np.zeros(0), cost_total=np.zeros(0),
         converged=np.zeros(0, dtype=bool),
-        inner_feasible=np.zeros(0, dtype=bool), dt=0.1, v_limit=25.0,
+        inner_feasible=np.zeros(0, dtype=bool),
+        outer_iters=np.zeros(0, dtype=int),
+        outer_status=np.zeros(0, dtype=int), dt=0.1, v_limit=25.0,
         phi=0.0, label="empty")
     with pytest.raises(InvalidParameterError):
         cli_io.export_results(empty, None, tmp_path)

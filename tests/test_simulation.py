@@ -261,28 +261,79 @@ def test_mismatched_plant_solves_its_own_response(monkeypatch):
     assert tr.controls[1, 0] == first.controls[0]
 
 
-def test_sweep_levels_independent_of_order():
+@pytest.fixture
+def pools(monkeypatch):
+    """Sizes of the worker pools sweep_svo starts, on a host of 2 CPUs."""
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
+    return sizes
+
+
+def _assert_entries_equal(a, b):
+    assert (a.phi, a.error, a.metrics) == (b.phi, b.error, b.metrics)
+    for f in fields(EpisodeTrace):
+        x, y = getattr(a.trace, f.name), getattr(b.trace, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_sweep_matches_separate_episodes(pools):
+    scn, idm = make_scenario(synthetic_pv_profile()[:30])
+    cons = scenario_constraints(scn)
+    levels = (0.0, math.pi / 4)
+    entries = sweep_svo(scn, levels, WH, cons, EGO, idm, DISC)
+    assert pools == [2]
+    assert len(entries) == len(levels)
+    for phi, entry in zip(levels, entries):
+        trace = run_episode(scn, SvoConfig(phi), WH, cons, EGO, idm, DISC)
+        _assert_entries_equal(entry, simulation.SweepEntry(
+            phi=phi, trace=trace, metrics=compute_metrics(trace), error=None))
+
+
+def test_sweep_single_cpu_runs_in_process(pools, monkeypatch):
+    scn, idm = make_scenario(synthetic_pv_profile()[:30])
+    cons = scenario_constraints(scn)
+    levels = (math.pi / 12, 0.0)
+    pooled = sweep_svo(scn, levels, WH, cons, EGO, idm, DISC)
+    monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
+    serial = sweep_svo(scn, levels, WH, cons, EGO, idm, DISC)
+    assert pools == [2]
+    for a, b in zip(pooled, serial, strict=True):
+        _assert_entries_equal(a, b)
+
+
+def test_sweep_levels_independent_of_order(pools):
     scn, idm = make_scenario(synthetic_pv_profile()[:50])
     cons = scenario_constraints(scn)
     fwd = sweep_svo(scn, (0.0, math.pi / 4), WH, cons, EGO, idm, DISC)
     rev = sweep_svo(scn, (math.pi / 4, 0.0), WH, cons, EGO, idm, DISC)
+    assert pools == [2, 2]
     assert [e.phi for e in fwd] == [0.0, math.pi / 4]
     assert [e.phi for e in rev] == [math.pi / 4, 0.0]
     for a in fwd:
-        b = next(e for e in rev if e.phi == a.phi)
-        assert np.array_equal(a.trace.gaps, b.trace.gaps)
-        assert np.array_equal(a.trace.controls, b.trace.controls)
-        assert a.metrics.traffic_avg_gap == b.metrics.traffic_avg_gap
+        _assert_entries_equal(a, next(e for e in rev if e.phi == a.phi))
 
 
-def test_sweep_validates_levels_before_running():
+def test_sweep_validates_levels_before_running(pools):
     scn, idm = make_scenario(np.full(10, 15.0))
     with pytest.raises(InvalidParameterError):
         sweep_svo(scn, (0.0, 1.0), WH, scenario_constraints(scn), EGO, idm,
                   DISC)
+    assert pools == []
 
 
-def test_sweep_records_episode_failures():
+def test_sweep_records_episode_failures(pools):
     # lead stops instantly in front of a tight gap; no feasible braking
     # exists and every level's episode ends in a failed state
     pv = np.zeros(40)
@@ -297,6 +348,7 @@ def test_sweep_records_episode_failures():
     cons = AvConstraints(d_min=5.0, d_max=45.0, v_min=0.0, v_max=20.0,
                          u_min=-4.0, u_max=4.0, a_min=-3.0, a_max=3.0)
     entries = sweep_svo(scn, (0.0, math.pi / 4), WH, cons, EGO, idm, DISC)
+    assert pools == [2]
     for e in entries:
         assert e.trace is None and e.metrics is None
         assert "gap" in e.error
@@ -330,6 +382,8 @@ def _tiny_trace(gaps, speeds):
                         cost_courtesy=np.zeros(n), cost_total=np.zeros(n),
                         converged=np.ones(n, dtype=bool),
                         inner_feasible=np.ones(n, dtype=bool),
+                        outer_iters=np.zeros(n, dtype=int),
+                        outer_status=np.zeros(n, dtype=int),
                         dt=0.1, v_limit=25.0, phi=0.0, label="tiny")
 
 
@@ -377,6 +431,8 @@ def test_metrics_empty_trace_rejected():
                          cost_total=np.array([]),
                          converged=np.array([], dtype=bool),
                          inner_feasible=np.array([], dtype=bool),
+                         outer_iters=np.array([], dtype=int),
+                         outer_status=np.array([], dtype=int),
                          dt=0.1, v_limit=25.0, phi=0.0, label="")
     with pytest.raises(InvalidParameterError):
         compute_metrics(empty)
