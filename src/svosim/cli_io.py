@@ -25,7 +25,7 @@ from . import defaults
 from .controller import AvConstraints, EgoisticParams, SvoConfig
 # respond_to_leader and step stay imported: perfbench/layers.py traces them
 from .driver_model import (Demonstration, DriverWeights, FEATURE_NAMES,
-                           HumanConstraints, fit_weights_maxent,
+                           HumanConstraints, _uneven_dt, fit_weights_maxent,
                            load_demonstration_csv, replan_rollout,
                            respond_to_leader, save_demonstration_csv)
 from .dynamics import (DiscreteDynamics, LongitudinalState, build_continuous,
@@ -279,8 +279,7 @@ def load_pv_profile_csv(path) -> LoadedProfile:
         raise TraceParseError(
             f"{path}: expected header {','.join(PV_PROFILE_HEADER)}, "
             f"got {','.join(header)}", line=1)
-    times = []
-    speeds = []
+    times, speeds, linenos = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -295,17 +294,17 @@ def load_pv_profile_csv(path) -> LoadedProfile:
             raise TraceParseError(f"{path}: non-finite value", line=lineno)
         times.append(t)
         speeds.append(v)
+        linenos.append(lineno)
     if len(times) < 2:
         raise TraceParseError(
             f"{path}: need at least two data rows", line=len(rows))
     dt = times[1] - times[0]
     if not dt > 0:
-        raise TraceParseError(f"{path}: time must increase", line=3)
-    for i in range(1, len(times)):
-        if abs(times[i] - times[i - 1] - dt) > 1e-6:
-            raise TraceParseError(
-                f"{path}: non-uniform time step at t={times[i]}",
-                line=i + 2)
+        raise TraceParseError(f"{path}: time must increase",
+                              line=linenos[1])
+    uneven = _uneven_dt(np.asarray(times))
+    if uneven:
+        raise TraceParseError(f"{path}: {uneven[1]}", line=linenos[uneven[0]])
     arr = np.asarray(speeds, dtype=float)
     clamped = int(np.sum(arr < 0))
     return LoadedProfile(speeds=np.maximum(arr, 0.0), dt=float(dt),

@@ -212,8 +212,7 @@ class _OuterProblem:
                                  self.maps.speed_u @ u + self.v0])
         return leader, respond_to_leader(self.x_h, leader, self.w_h, self.hc,
                                          self.disc, self.n, self.v_limit,
-                                         warm_start=warm, refine=refine,
-                                         eps=defaults.SMOOTH_EPS_SHARP)
+                                         warm_start=warm, refine=refine)
 
     def constraint_values(self, u: np.ndarray):
         return self.cons_jac @ u + self.cons_off
@@ -235,15 +234,14 @@ class _OuterProblem:
             lead_grad = response_speed_sensitivity(
                 self.x_h, leader, base.controls, self.w_h, self.hc,
                 self.disc, self.n, self.v_limit,
-                -2.0 * (self.v_limit - base.speeds),
-                eps=defaults.SMOOTH_EPS_SHARP)
+                -2.0 * (self.v_limit - base.speeds))
             grad = grad + self.w_c * (self.maps.speed_u.T @ lead_grad[1:])
         return total, grad
 
 
 def _solve_outer(prob: _OuterProblem, u0: np.ndarray, cons: AvConstraints,
                  settings: OuterSettings):
-    """(u, converged, iterations, status) of the SLSQP solve it keeps."""
+    """(u, converged, iterations, status) of one SLSQP solve from u0."""
     bounds = [(cons.u_min, cons.u_max)] * prob.n
     constraints = [{"type": "ineq", "fun": prob.constraint_values,
                     "jac": lambda u: prob.cons_jac}]
@@ -252,14 +250,6 @@ def _solve_outer(prob: _OuterProblem, u0: np.ndarray, cons: AvConstraints,
                    bounds=bounds, constraints=constraints, options=options)
     u = np.clip(res.x, cons.u_min, cons.u_max)
     viol = prob.max_violation(u)
-    if viol > _FEASIBILITY_TOL and np.any(u0):
-        res2 = minimize(prob.value_and_grad, np.zeros(prob.n), jac=True,
-                        method="SLSQP", bounds=bounds,
-                        constraints=constraints, options=options)
-        u2 = np.clip(res2.x, cons.u_min, cons.u_max)
-        if prob.max_violation(u2) < viol:
-            res, u = res2, u2
-            viol = prob.max_violation(u)
     # a stalled line search at a feasible iterate is stationarity within
     # the accuracy of the courtesy gradient
     converged = bool(res.success) or (res.status == _LINESEARCH_STALLED
@@ -271,7 +261,6 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
          w_h: DriverWeights, svo: SvoConfig, cons: AvConstraints,
          ego: EgoisticParams, v_limit: float, disc: DiscreteDynamics,
          warm_start=None, n_steps: int = defaults.HORIZON_STEPS,
-         human_constraints: HumanConstraints | None = None,
          settings: OuterSettings | None = None,
          response_warm_start=None) -> PlanResult:
     """Plan the AV control sequence for one receding-horizon step.
@@ -282,21 +271,19 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
         pv_preview: speed preview of the followed vehicle, hold-last
             extended to the horizon.
         warm_start: previous control sequence (already shifted) or None.
-        human_constraints: the trailing driver's constraint set; derived
-            from cons and w_h (shared speed window, driver min gap) when
-            omitted.
         response_warm_start: the driver's previous response controls
             (already shifted) or None; the first inner solve and the
             final refined response start from it.
 
-    Only the first control is meant to be applied; replan each step.
-    The caller receives flags instead of exceptions: converged reports
-    the outer iteration, inner_feasible the last best-response solve.
+    The trailing driver is held to the AV's speed window (cons) and to
+    its own minimum gap (w_h.min_gap).  Only the first control is meant
+    to be applied; replan each step.  The caller receives flags instead
+    of exceptions: converged reports the outer iteration, inner_feasible
+    the last best-response solve.
     """
     w_e, w_c = svo_weights(svo.phi)
-    hc = human_constraints if human_constraints is not None else \
-        HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
-                         d_min=w_h.min_gap)
+    hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
+                          d_min=w_h.min_gap)
     pv = hold_last(pv_preview, n_steps)
     u0 = np.zeros(n_steps) if warm_start is None else \
         np.clip(np.asarray(warm_start, dtype=float), cons.u_min, cons.u_max)

@@ -33,6 +33,5 @@ DEFAULT_WEIGHTS = (0.1, 0.5, 0.5, 1.0)
 HUMAN_TIME_HEADWAY_S = 1.5
 
 PENALTY_WEIGHT = 1.0e4    # quadratic state-constraint penalty, solver-side
-SMOOTH_EPS = 1.0e-3       # |.| smoothing half-width inside solvers
-SMOOTH_EPS_SHARP = 1.0e-5 # re-solve width wherever reported costs are read off
+SMOOTH_EPS = 1.0e-5       # |.| smoothing half-width of the driver's solves
 HEADWAY_SPEED_FLOOR = 0.5 # samples at or below this speed carry no headway

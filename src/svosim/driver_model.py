@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dposv
+# minimize stays imported: perfbench/layers.py traces it
 from scipy.optimize import minimize
 
 from . import defaults
@@ -34,8 +35,6 @@ FEATURE_NAMES = ("accel_sq", "speed_deficit_sq", "rel_speed_sq", "gap_offset")
 
 _NEWTON_MAX_ITERS = 200
 _NEWTON_GRAD_TOL = 1e-9
-_POLISH_EPS = defaults.SMOOTH_EPS_SHARP
-_FALLBACK_GRAD_TOL = 1e-5
 _FEASIBILITY_TOL = 1e-6
 _ESCALATION_FACTOR = 32.0
 # three rounds reach weight ~3e8; a follower held against its minimum
@@ -258,8 +257,7 @@ class _ResponseProblem:
 
     def __init__(self, maps: HorizonMaps, x0: LongitudinalState,
                  leader_speeds: np.ndarray, weights: DriverWeights,
-                 hc: HumanConstraints, v_limit: float, penalty: float,
-                 eps: float = defaults.SMOOTH_EPS):
+                 hc: HumanConstraints, v_limit: float, penalty: float):
         n = maps.n_steps
         if len(leader_speeds) != n + 1:
             raise InvalidParameterError(
@@ -271,7 +269,7 @@ class _ResponseProblem:
         self.hi = np.array([[np.inf], [hc.v_max]])
         self.v_limit = v_limit
         self.penalty = penalty
-        self.eps = eps
+        self.eps = defaults.SMOOTH_EPS
         self.lead_at = leader_speeds[1:]        # aligned with states 1..N
         # leader samples 0..N-1 are held over [k, k+1)
         self.y0 = self.qp.P @ leader_speeds[:n] + self.qp.X @ x0.as_array()
@@ -369,6 +367,10 @@ def _newton_minimize(prob: _ResponseProblem, u0: np.ndarray) -> np.ndarray:
     a gap-term kink relative to the smoothing width (the true curvature
     there scales like eps^2), so a rejected step falls back to the
     majorizer step instead of backtracking along the bad direction.
+    Stops at gradient 1e-9, when neither step descends, or when the
+    descent falls below the rounding floor of f.  That point is the
+    optimum: L-BFGS-B restarted from it gains nothing measurable
+    (tests/test_driver_model.py).
     """
     u = u0.copy()
     f, grad = prob.value_grad(u)
@@ -413,12 +415,6 @@ def _newton_minimize(prob: _ResponseProblem, u0: np.ndarray) -> np.ndarray:
         # gradient cannot be realized as measurable progress
         if f_before - f <= 1e-15 * max(1.0, abs(f)):
             break
-    if np.max(np.abs(grad)) > _FALLBACK_GRAD_TOL:
-        res = minimize(lambda z: prob.value_grad(z), u, jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
-        if res.fun < f:
-            u = res.x
     return u
 
 
@@ -427,38 +423,31 @@ def respond_to_leader(x0: LongitudinalState, leader_speeds,
                       disc: DiscreteDynamics, n_steps: int,
                       v_limit: float,
                       warm_start: np.ndarray | None = None,
-                      refine: bool = True,
-                      eps: float = defaults.SMOOTH_EPS) -> BestResponse:
+                      refine: bool = True) -> BestResponse:
     """Best response of the driver to a known leader speed trajectory.
 
     Args:
         leader_speeds: n_steps + 1 samples, leader speed at the current
             instant and after each of the n_steps intervals.
         warm_start: previous control sequence to refine; zeros otherwise.
-        refine: escalate the constraint penalty to the feasibility
-            tolerance and finish with a sharp-smoothing re-solve.  Keep
-            it on for returned responses; callers that difference the
-            solution map (and need it cheap, not certificate-grade)
-            turn it off.
-        eps: smoothing half-width of the main solve.  The refine
-            re-solve finishes at least as sharp as the default polish
-            width regardless.
+        refine: escalate the constraint penalty until the response
+            meets the feasibility tolerance.  Keep it on for returned
+            responses; callers that difference the solution map at the
+            configured penalty turn it off.
 
-    When refining, the constraint penalty starts at the configured
-    weight and is escalated (x32, at most three times) whenever the
-    solved trajectory still violates a state constraint beyond 1e-6; a
-    violation that survives escalation marks the response infeasible
-    (best effort, no abort).  The sharp re-solve exists because the
-    coarse smoothing that keeps the main solve well conditioned leaves
-    a visible true-cost gradient when a stage sits near the desired-gap
-    kink.
+    The gap-offset |.| is smoothed with the single half-width
+    defaults.SMOOTH_EPS.  When refining, the constraint penalty starts
+    at the configured weight and is escalated (x32, at most three times)
+    whenever the solved trajectory still violates a state constraint
+    beyond 1e-6; a violation that survives escalation marks the response
+    infeasible (best effort, no abort).
     """
     maps = build_horizon_maps(disc, n_steps)
     leader_speeds = np.asarray(leader_speeds, dtype=float)
     u = (np.zeros(n_steps) if warm_start is None
          else np.asarray(warm_start, dtype=float).copy())
     prob = _ResponseProblem(maps, x0, leader_speeds, weights, hc,
-                            v_limit, defaults.PENALTY_WEIGHT, eps=eps)
+                            v_limit, defaults.PENALTY_WEIGHT)
     u = _newton_minimize(prob, u)
     if refine:
         escalations = 0
@@ -467,8 +456,6 @@ def respond_to_leader(x0: LongitudinalState, leader_speeds,
             prob.penalty *= _ESCALATION_FACTOR
             escalations += 1
             u = _newton_minimize(prob, u)
-        prob.eps = min(eps, _POLISH_EPS)
-        u = _newton_minimize(prob, u)
     gaps, speeds, accels, _ = prob.traj(u)
     viol = prob.max_violation(u)
     return BestResponse(controls=u, gaps=gaps, speeds=speeds, accels=accels,
@@ -480,21 +467,19 @@ def respond_to_leader(x0: LongitudinalState, leader_speeds,
 def response_speed_sensitivity(x0: LongitudinalState, leader_speeds,
                                controls, weights: DriverWeights,
                                hc: HumanConstraints, disc: DiscreteDynamics,
-                               n_steps: int, v_limit: float, speed_grad,
-                               eps: float = defaults.SMOOTH_EPS) -> np.ndarray:
+                               n_steps: int, v_limit: float,
+                               speed_grad) -> np.ndarray:
     """Leader-speed gradient of a scalar of the response speeds.
 
     controls must be the solution respond_to_leader(refine=False) found
-    for the same inputs and the same eps; the result accounts for the
-    response shifting with the leader profile through that solve's
-    stationarity.  speed_grad is the scalar's gradient in the response
-    speed samples; the result has one entry per leader speed sample
-    (n_steps + 1).
+    for the same inputs; the result accounts for the response shifting
+    with the leader profile through that solve's stationarity.
+    speed_grad is the scalar's gradient in the response speed samples;
+    the result has one entry per leader speed sample (n_steps + 1).
     """
     maps = build_horizon_maps(disc, n_steps)
     prob = _ResponseProblem(maps, x0, np.asarray(leader_speeds, dtype=float),
-                            weights, hc, v_limit, defaults.PENALTY_WEIGHT,
-                            eps=eps)
+                            weights, hc, v_limit, defaults.PENALTY_WEIGHT)
     return prob.leader_sensitivity(np.asarray(controls, dtype=float),
                                    np.asarray(speed_grad, dtype=float))
 

@@ -144,6 +144,17 @@ def test_pv_nonuniform_step_names_line(tmp_path):
     assert info.value.line == 4
 
 
+def test_pv_step_errors_name_the_real_line_after_blank_lines(tmp_path):
+    cases = {"uneven.csv": ("t,speed_mps\n0,5\n0.1,5\n\n0.2,5\n0.4,5\n", 6),
+             "backwards.csv": ("t,speed_mps\n\n\n0,5\n0,5\n0.1,5\n", 5)}
+    for name, (text, line) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(TraceParseError) as info:
+            load_pv_profile_csv(path)
+        assert info.value.line == line, name
+
+
 def test_pv_structural_errors(tmp_path):
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("time,v\n0,5\n0.1,5\n")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from svosim import driver_model as dm
 from svosim import dynamics
@@ -309,7 +310,7 @@ def test_response_kernel_matches_direct_formulas():
             u = rng.normal(0.0, 1.5, n)
             for w, (label, hc) in itertools.product(w_set, hcs.items()):
                 prob = dm._ResponseProblem(maps, x0, leader, w, hc, 25.0,
-                                           penalty, eps=eps)
+                                           penalty)
                 assert (prob.max_violation(u) > 0) == (label == "active")
                 f, grad, newton, majorizer, speed_grad, sens = \
                     direct_response_terms(maps, x0, leader, w, hc, 25.0,
@@ -321,6 +322,34 @@ def test_response_kernel_matches_direct_formulas():
                 close(prob.hessian(*prob.curvature(u, majorize=True)),
                       majorizer)
                 close(prob.leader_sensitivity(u, speed_grad), sens)
+
+
+def test_newton_alone_reaches_the_inner_optimum():
+    # a quasi-Newton solve restarted from the returned controls must find
+    # no measurable descent on the same penalized, smoothed objective,
+    # whether the constraint rows bind at the optimum or not
+    w_set = (weights(), weights(w=(0.4, 0.2, 0.9, 2.5), tau=1.1, ds=3.0))
+    hcs = {"inactive": constraints(v_min=0.0, v_max=40.0, d_min=1.0),
+           "active": constraints(v_min=19.2, v_max=19.8, d_min=27.5)}
+    for n, seed in itertools.product((12, 30), range(12)):
+        rng = np.random.default_rng(100 * n + seed)
+        x0 = dynamics.LongitudinalState(gap=28.0 + rng.normal(0.0, 1.0),
+                                        speed=19.5 + rng.normal(0.0, 0.5),
+                                        accel=rng.normal(0.0, 0.3))
+        leader = 19.5 + np.cumsum(rng.normal(0.0, 0.3, n + 1))
+        maps = dynamics.build_horizon_maps(DISC, n)
+        for w, (label, hc) in itertools.product(w_set, hcs.items()):
+            resp = dm.respond_to_leader(x0, leader, w, hc, DISC, n, 25.0,
+                                        refine=False)
+            prob = dm._ResponseProblem(maps, x0, leader, w, hc, 25.0,
+                                       dm.defaults.PENALTY_WEIGHT)
+            assert ((prob.max_violation(resp.controls) > 0)
+                    == (label == "active"))
+            f = prob.value_grad(resp.controls)[0]
+            res = minimize(prob.value_grad, resp.controls, jac=True,
+                           method="L-BFGS-B", options={
+                               "maxiter": 200, "ftol": 1e-14, "gtol": 1e-10})
+            assert f - res.fun <= 1e-10 * max(1.0, abs(f)), (n, seed, label)
 
 
 def test_spd_solve_matches_lu_and_rejects_indefinite():
