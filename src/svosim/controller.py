@@ -7,43 +7,49 @@ from the speed limit, evaluated on that driver's best response to the
 candidate AV plan.  phi = 0 recovers a plain single-level egoistic NMPC;
 phi = pi/4 weighs both equally.
 
-The bi-level solve is nested: a sequential-quadratic outer iteration
-over the AV control sequence (state constraints are affine in the
-controls and enter the subproblems directly) evaluates the courtesy term
-by solving the driver best response for every candidate, warm-started
-from the previous inner solution; its gradient contribution is the
-adjoint of the best-response stationarity condition.
+The predicted AV states are affine in the controls, so at phi = 0 the
+plan is one strictly convex QP (the gap-error map is invertible), solved
+exactly by the dual active-set kernel in qp.  For phi > 0 the bi-level
+solve is nested: a sequential-quadratic (SLSQP) outer iteration over the
+AV control sequence (state constraints enter the subproblems directly)
+evaluates the courtesy term by solving the driver best response for
+every candidate, warm-started from the previous inner solution; its
+gradient contribution is the adjoint of the best-response stationarity
+condition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import defaults
+from . import defaults, qp
 from .driver_model import (BestResponse, DriverWeights, HumanConstraints,
                            respond_to_leader, response_speed_sensitivity)
-from .dynamics import (DiscreteDynamics, LongitudinalState,
+from .dynamics import (DiscreteDynamics, HorizonMaps, LongitudinalState,
                        build_horizon_maps, hold_last)
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, QpInfeasibleError
 
 _SQP_FTOL = 1e-12
 _OUTER_MAX_ITERS = 300
 _FEASIBILITY_TOL = 1e-6
 _LINESEARCH_STALLED = 8
+_INCOMPATIBLE = 4    # SLSQP's "inequality constraints incompatible"
 
 
 @dataclass(frozen=True)
 class OuterSettings:
-    """Termination knobs for the outer control iteration.
+    """Termination knobs for the outer SLSQP iteration (phi > 0).
 
     The defaults run the iteration to tight stationarity, right for a
     one-shot plan.  Receding-horizon callers replan from a shifted
     warm start every step and can stop far earlier without moving the
-    closed-loop trajectory; see run_episode.
+    closed-loop trajectory; see run_episode.  The phi = 0 plan is an
+    exact QP solve and ignores them.
     """
 
     max_iters: int = _OUTER_MAX_ITERS
@@ -120,9 +126,12 @@ class PlanResult:
     """One plan, with the trailing driver's refined response to it.
 
     hv0_controls is the control sequence of that response, the one
-    hv0_traj predicts.  outer_iters and outer_status are the SLSQP
-    iteration count and exit status of the outer solve the plan came
-    from (status 9: the iteration cap).
+    hv0_traj predicts.  outer_iters and outer_status are the iteration
+    count and exit status of the outer solve the plan came from.  For
+    phi > 0 that is SLSQP (status 9: the iteration cap); at phi = 0 it
+    is the active-set QP, status 0 (solved) or 4 (the constraints admit
+    no plan; u_seq is then the solver's last iterate clipped to the
+    control box, and converged is False).
     """
 
     u_seq: np.ndarray
@@ -163,47 +172,96 @@ def courtesy_cost(hv0_traj: PredictedTrajectory, v_limit: float) -> float:
     return float(err @ err)
 
 
-class _OuterProblem:
-    """Composite objective in the AV control sequence.
+_BLOCKS_CACHE: dict = {}
+
+
+class _AvBlocks(NamedTuple):
+    """Constant data of the AV's problem for one (maps, time headway).
+
+    err_map takes the controls to the gap errors from the headway target,
+    cons_jac to the state-bound rows.  egoistic is the factored phi = 0
+    QP: Hessian 2 err_map' err_map, rows cons_jac then the control box
+    (+I, -I).
+    """
+
+    err_map: np.ndarray
+    cons_jac: np.ndarray
+    egoistic: qp.QpFactor
+
+
+def _av_blocks(maps: HorizonMaps, time_headway: float) -> _AvBlocks:
+    """Build (and cache) the constant blocks for one horizon and headway."""
+    key = (maps.key, time_headway)
+    hit = _BLOCKS_CACHE.get(key)
+    if hit is not None:
+        return hit
+    err_map = time_headway * maps.speed_u - maps.gap_u
+    cons_jac = np.vstack([maps.gap_u, -maps.gap_u, maps.speed_u,
+                          -maps.speed_u, maps.accel_u, -maps.accel_u])
+    eye = np.eye(maps.n_steps)
+    egoistic = qp.factor(2.0 * (err_map.T @ err_map),
+                         np.vstack([cons_jac, eye, -eye]))
+    if len(_BLOCKS_CACHE) > 16:
+        _BLOCKS_CACHE.clear()
+    blocks = _BLOCKS_CACHE[key] = _AvBlocks(err_map, cons_jac, egoistic)
+    return blocks
+
+
+class _AvProblem:
+    """The AV's side of a plan: rollout, state constraints, egoistic term.
 
     The predicted gap/speed/accel sequences are affine in the controls,
-    so the state constraints enter the solver as linear inequalities
-    with a constant jacobian.
+    so the state constraints are linear inequalities with a constant
+    jacobian.
     """
+
+    def __init__(self, x_av: LongitudinalState, pv: np.ndarray,
+                 cons: AvConstraints, ego: EgoisticParams,
+                 disc: DiscreteDynamics, n_steps: int):
+        self.maps = build_horizon_maps(disc, n_steps)
+        self.blocks = _av_blocks(self.maps, ego.time_headway)
+        self.x_av = x_av
+        self.cons = cons
+        self.n = n_steps
+        self.g0, self.v0, self.a0 = self.maps.free_response(x_av, pv)
+        # gap error from target is affine in the controls
+        self.err_map = self.blocks.err_map
+        self.err0 = ego.min_gap + ego.time_headway * self.v0 - self.g0
+        self.cons_jac = self.blocks.cons_jac
+        self.cons_off = np.concatenate([
+            self.g0 - cons.d_min, cons.d_max - self.g0,
+            self.v0 - cons.v_min, cons.v_max - self.v0,
+            self.a0 - cons.a_min, cons.a_max - self.a0])
+
+    def av_rollout(self, u: np.ndarray):
+        m = self.maps
+        return (m.gap_u @ u + self.g0, m.speed_u @ u + self.v0,
+                m.accel_u @ u + self.a0)
+
+    def constraint_values(self, u: np.ndarray):
+        return self.cons_jac @ u + self.cons_off
+
+    def max_violation(self, u: np.ndarray) -> float:
+        return float(np.max(-self.constraint_values(u), initial=0.0))
+
+
+class _OuterProblem(_AvProblem):
+    """Composite objective in the AV control sequence."""
 
     def __init__(self, x_av: LongitudinalState, x_h: LongitudinalState,
                  pv: np.ndarray, w_h: DriverWeights, hc: HumanConstraints,
                  cons: AvConstraints, ego: EgoisticParams, v_limit: float,
                  disc: DiscreteDynamics, n_steps: int, w_e: float,
                  w_c: float):
-        self.maps = build_horizon_maps(disc, n_steps)
-        self.x_av = x_av
+        super().__init__(x_av, pv, cons, ego, disc, n_steps)
         self.x_h = x_h
         self.w_h = w_h
         self.hc = hc
-        self.cons = cons
         self.v_limit = v_limit
         self.disc = disc
-        self.n = n_steps
         self.w_e = w_e
         self.w_c = w_c
-        self.g0, self.v0, self.a0 = self.maps.free_response(x_av, pv)
-        # gap error from target is affine in the controls
-        self.err_map = ego.time_headway * self.maps.speed_u - self.maps.gap_u
-        self.err0 = ego.min_gap + ego.time_headway * self.v0 - self.g0
-        m = self.maps
-        self.cons_jac = np.vstack([m.gap_u, -m.gap_u, m.speed_u, -m.speed_u,
-                                   m.accel_u, -m.accel_u])
-        self.cons_off = np.concatenate([
-            self.g0 - cons.d_min, cons.d_max - self.g0,
-            self.v0 - cons.v_min, cons.v_max - self.v0,
-            self.a0 - cons.a_min, cons.a_max - self.a0])
         self.inner_warm: np.ndarray | None = None
-
-    def av_rollout(self, u: np.ndarray):
-        m = self.maps
-        return (m.gap_u @ u + self.g0, m.speed_u @ u + self.v0,
-                m.accel_u @ u + self.a0)
 
     def respond(self, u: np.ndarray, warm, refine: bool = False
                 ) -> tuple[np.ndarray, BestResponse]:
@@ -213,12 +271,6 @@ class _OuterProblem:
         return leader, respond_to_leader(self.x_h, leader, self.w_h, self.hc,
                                          self.disc, self.n, self.v_limit,
                                          warm_start=warm, refine=refine)
-
-    def constraint_values(self, u: np.ndarray):
-        return self.cons_jac @ u + self.cons_off
-
-    def max_violation(self, u: np.ndarray) -> float:
-        return float(np.max(-self.constraint_values(u), initial=0.0))
 
     def value_and_grad(self, u: np.ndarray):
         err = self.err_map @ u + self.err0
@@ -239,9 +291,32 @@ class _OuterProblem:
         return total, grad
 
 
+def _solve_egoistic(prob: _AvProblem):
+    """(u, converged, iterations, status) of the phi = 0 QP.
+
+    The egoistic weight only scales the objective, so the minimiser of
+    |err_map u + err0|^2 under the state and control bounds is the plan.
+    """
+    cons = prob.cons
+    d = np.concatenate([-prob.cons_off, np.full(prob.n, cons.u_min),
+                        np.full(prob.n, -cons.u_max)])
+    try:
+        res = qp.solve(prob.blocks.egoistic,
+                       2.0 * (prob.err_map.T @ prob.err0), d)
+    except QpInfeasibleError as exc:
+        return (np.clip(exc.u, cons.u_min, cons.u_max), False,
+                exc.iterations, _INCOMPATIBLE)
+    return res.u, True, res.iterations, 0
+
+
 def _solve_outer(prob: _OuterProblem, u0: np.ndarray, cons: AvConstraints,
                  settings: OuterSettings):
-    """(u, converged, iterations, status) of one SLSQP solve from u0."""
+    """(u, converged, iterations, status) of one outer solve from u0.
+
+    phi = 0 is the exact QP, which needs no start; phi > 0 runs SLSQP.
+    """
+    if prob.w_c == 0.0:
+        return _solve_egoistic(prob)
     bounds = [(cons.u_min, cons.u_max)] * prob.n
     constraints = [{"type": "ineq", "fun": prob.constraint_values,
                     "jac": lambda u: prob.cons_jac}]
@@ -270,7 +345,8 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
         x_h: trailing driver state relative to the AV.
         pv_preview: speed preview of the followed vehicle, hold-last
             extended to the horizon.
-        warm_start: previous control sequence (already shifted) or None.
+        warm_start: previous control sequence (already shifted) or None;
+            the exact phi = 0 QP needs none and ignores it.
         response_warm_start: the driver's previous response controls
             (already shifted) or None; the first inner solve and the
             final refined response start from it.
@@ -311,25 +387,15 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
 
 def egoistic_plan(x_av: LongitudinalState, pv_preview, cons: AvConstraints,
                   ego: EgoisticParams, disc: DiscreteDynamics,
-                  warm_start=None, n_steps: int = defaults.HORIZON_STEPS,
-                  settings: OuterSettings | None = None):
-    """Single-level constant-time-headway NMPC, no trailing-driver model.
+                  n_steps: int = defaults.HORIZON_STEPS):
+    """Single-level constant-time-headway plan, no trailing-driver model.
 
-    Reference planner for the phi = 0 endpoint; returns
-    (u_seq, av_traj, cost, converged).
+    Reference planner for the phi = 0 endpoint, the exact QP that plan
+    solves at phi = 0; returns (u_seq, av_traj, cost, converged).
     """
-    pv = hold_last(pv_preview, n_steps)
-    u0 = np.zeros(n_steps) if warm_start is None else \
-        np.clip(np.asarray(warm_start, dtype=float), cons.u_min, cons.u_max)
-    dummy_w = DriverWeights(w=(0, 0, 0, 0), tau_headway=1.0,
-                            min_gap=ego.min_gap)
-    dummy_hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
-                                d_min=ego.min_gap)
-    prob = _OuterProblem(x_av, LongitudinalState(0, 0, 0), pv, dummy_w,
-                         dummy_hc, cons, ego, 0.0, disc, n_steps,
-                         w_e=1.0, w_c=0.0)
-    u, converged, _, _ = _solve_outer(
-        prob, u0, cons, settings if settings is not None else OuterSettings())
+    prob = _AvProblem(x_av, hold_last(pv_preview, n_steps), cons, ego, disc,
+                      n_steps)
+    u, converged, _, _ = _solve_egoistic(prob)
     g, v, a = prob.av_rollout(u)
     traj = PredictedTrajectory(gaps=g, speeds=v, accels=a)
     return u, traj, egoistic_cost(traj, ego), converged

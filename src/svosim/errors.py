@@ -28,7 +28,17 @@ class SimulationError(RuntimeError):
         self.step = step
 
 
-class FitDivergenceError(RuntimeError):
+class _RequiredFields:
+    """Pickling for an exception whose keyword-only fields are required."""
+
+    def __reduce__(self):
+        # the default reduce rebuilds with cls(*args), which lacks the
+        # keyword-only fields: unpickling, e.g. in the parent of a worker
+        # process, would raise TypeError
+        return partial(type(self), **self.__dict__), self.args
+
+
+class FitDivergenceError(_RequiredFields, RuntimeError):
     """Weight fitting left the trust region instead of converging."""
 
     def __init__(self, message: str, *, iteration: int, weights, mismatch):
@@ -37,13 +47,18 @@ class FitDivergenceError(RuntimeError):
         self.weights = weights
         self.mismatch = mismatch
 
-    def __reduce__(self):
-        # the default reduce rebuilds with cls(*args), which lacks the
-        # keyword-only fields: unpickling, e.g. in the parent of a worker
-        # process, would raise TypeError
-        return (partial(type(self), iteration=self.iteration,
-                        weights=self.weights, mismatch=self.mismatch),
-                self.args, self.__dict__)
+
+class QpInfeasibleError(_RequiredFields, RuntimeError):
+    """A quadratic program's constraint rows admit no feasible point.
+
+    ``u`` is the solver's last iterate, the minimiser over the rows it
+    had made active; ``iterations`` the active-set steps taken.
+    """
+
+    def __init__(self, message: str, *, u, iterations: int):
+        super().__init__(message)
+        self.u = u
+        self.iterations = iterations
 
 
 class TraceParseError(ValueError):

@@ -35,7 +35,8 @@ FLEET_SIZE = 3
 # warm-started replanning tolerates an early stop: next to the tight
 # default the closed-loop states move by under 0.1 m / 0.05 m/s.  The
 # iteration cap bounds a step's cost and is no convergence test: about
-# 89% of courteous (phi > 0) plans end at it, and about 15% at phi = 0
+# 89% of courteous (phi > 0) plans end at it.  The phi = 0 plan is an
+# exact QP solve and has no cap
 EPISODE_PLAN_SETTINGS = OuterSettings(max_iters=60, ftol=1e-9)
 
 # anchor points (seconds, m/s) of the shipped synthetic lead profile:
@@ -201,6 +202,23 @@ def default_scenario(dt: float = defaults.STEP_S) -> Scenario:
         label="synthetic-default")
 
 
+def _check_start_gaps(scn: Scenario, cons: AvConstraints,
+                      w_h: DriverWeights) -> None:
+    """Reject a scenario whose first plan is infeasible by construction.
+
+    Raises:
+        InvalidParameterError: the AV starts below cons.d_min or the
+            modeled driver below w_h.min_gap.
+    """
+    if scn.x_av.gap < cons.d_min:
+        raise InvalidParameterError(
+            f"AV starts at gap {scn.x_av.gap} m, below d_min {cons.d_min}")
+    if scn.x_hv0.gap < w_h.min_gap:
+        raise InvalidParameterError(
+            f"hv0 starts at gap {scn.x_hv0.gap} m, below its min_gap "
+            f"{w_h.min_gap}")
+
+
 def _shift(u_seq: np.ndarray) -> np.ndarray:
     """Warm start for the next step: drop the first control, hold the last."""
     return np.append(u_seq[1:], u_seq[-1])
@@ -230,12 +248,15 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
     plant_weights, warm-started from its own previous response.
 
     Raises:
+        InvalidParameterError: the dynamics step differs from the
+            scenario's, or a start gap lies below its minimum.
         CollisionError: a following gap closed to zero or below.
         SimulationError: a state became non-finite.
     """
     if abs(disc.dt - scn.dt) > 1e-12:
         raise InvalidParameterError(
             f"dynamics step {disc.dt} differs from scenario dt {scn.dt}")
+    _check_start_gaps(scn, cons, w_h)
     mismatch = plant_weights is not None and plant_weights != w_h
     if mismatch:
         hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
@@ -386,12 +407,13 @@ def sweep_svo(scn: Scenario, levels, w_h: DriverWeights,
               ) -> tuple:
     """One independent episode per altruism level, identical scenario.
 
-    Every level is validated before any episode starts.  Episodes share
-    no state, so the levels run in spawned worker processes, one per
-    level up to the CPUs this process may use, and in-process when that
-    is one; entries come back in level order.  Each worker pays one
-    import of svosim and of the caller's main module, so a calling
-    script runs its sweep under `if __name__ == "__main__":`.
+    Every level and both start gaps are validated before any episode
+    starts.  Episodes share no state, so the levels run in spawned
+    worker processes, one per level up to the CPUs this process may use,
+    and in-process when that is one; entries come back in level order.
+    Each worker pays one import of svosim and of the caller's main
+    module, so a calling script runs its sweep under
+    `if __name__ == "__main__":`.
     Results, and the exported trace.csv bytes, equal a serial run at a
     fixed BLAS thread count.  Workers inherit the BLAS thread variables
     (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS); pin them
@@ -400,6 +422,7 @@ def sweep_svo(scn: Scenario, levels, w_h: DriverWeights,
     sweep continues.
     """
     configs = [SvoConfig(float(phi)) for phi in levels]
+    _check_start_gaps(scn, cons, w_h)
     run_level = partial(_sweep_level, scn=scn, w_h=w_h, cons=cons, ego=ego,
                         idm=idm, disc=disc, n_steps=n_steps,
                         plant_weights=plant_weights,

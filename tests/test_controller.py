@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from svosim import controller as ctl
 from svosim import driver_model as dm
@@ -334,3 +335,50 @@ def test_leader_speed_gradient_matches_finite_differences():
         minus[j] -= delta
         fd = (courtesy(plus) - courtesy(minus)) / (2 * delta)
         assert abs(fd - grad[j]) <= 1e-5 * max(1.0, abs(fd))
+
+
+def tight_egoistic_reference(x_av, pv):
+    """Egoistic cost of a tight SLSQP solve at OuterSettings()."""
+    maps = dynamics.build_horizon_maps(DISC, len(pv))
+    g0, v0, a0 = maps.free_response(x_av, dynamics.hold_last(pv, len(pv)))
+    err_map = EGO.time_headway * maps.speed_u - maps.gap_u
+    err0 = EGO.min_gap + EGO.time_headway * v0 - g0
+    rows = np.vstack([maps.gap_u, -maps.gap_u, maps.speed_u, -maps.speed_u,
+                      maps.accel_u, -maps.accel_u])
+    off = np.concatenate([g0 - CONS.d_min, CONS.d_max - g0,
+                          v0 - CONS.v_min, CONS.v_max - v0,
+                          a0 - CONS.a_min, CONS.a_max - a0])
+
+    def cost(u):
+        err = err_map @ u + err0
+        return float(err @ err), 2.0 * (err_map.T @ err)
+
+    tight = ctl.OuterSettings()
+    res = minimize(cost, np.zeros(len(pv)), jac=True, method="SLSQP",
+                   bounds=[(CONS.u_min, CONS.u_max)] * len(pv),
+                   constraints=[{"type": "ineq",
+                                 "fun": lambda u: rows @ u + off,
+                                 "jac": lambda u: rows}],
+                   options={"maxiter": tight.max_iters, "ftol": tight.ftol})
+    return res.fun
+
+
+def test_phi_zero_plan_is_exact_qp_minimum():
+    for x_av, x_h, pv in (TRANSIENT, BRAKE, ACCEL):
+        res = ctl.plan(x_av, x_h, pv, WH, ctl.SvoConfig(0.0), CONS, EGO,
+                       V_LIMIT, DISC)
+        assert res.converged and res.outer_status == 0
+        assert av_feasible(x_av, res.u_seq, pv, tol=1e-8)
+        assert res.cost_egoistic <= tight_egoistic_reference(x_av, pv) + 1e-9
+
+
+def test_phi_zero_infeasible_plan_flagged_not_raised():
+    # 6 m behind a stopped vehicle at 20 m/s: no control keeps d_min
+    x_av = dynamics.LongitudinalState(6.0, 20.0, 0.0)
+    x_h = dynamics.LongitudinalState(35.0, 20.0, 0.0)
+    res = ctl.plan(x_av, x_h, np.zeros(30), WH, ctl.SvoConfig(0.0), CONS,
+                   EGO, V_LIMIT, DISC)
+    assert not res.converged
+    assert res.outer_status == 4
+    assert np.all(np.isfinite(res.u_seq))
+    assert np.min(res.u_seq) >= CONS.u_min and np.max(res.u_seq) <= CONS.u_max

@@ -12,6 +12,8 @@ EXAMPLES = {
                                 {"iteration": 1, "weights": [1.0, 0.5],
                                  "mismatch": [2.0, -0.25]}),
     errors.TraceParseError: (("bad row",), {"line": 12}),
+    errors.QpInfeasibleError: (("incompatible rows",),
+                               {"u": [0.5, -1.0], "iterations": 4}),
 }
 
 

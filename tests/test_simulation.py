@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -100,6 +100,24 @@ def test_episode_rejects_mismatched_dt():
     with pytest.raises(InvalidParameterError):
         run_episode(scn, SvoConfig(0.0), WH, scenario_constraints(scn), EGO,
                     idm, wrong)
+
+
+@pytest.mark.parametrize("vehicle", ["x_av", "x_hv0"])
+def test_episode_rejects_start_below_min_gap(vehicle, pools, monkeypatch):
+    # the first plan would be infeasible by construction
+    scn, idm = make_scenario(np.full(10, 15.0))
+    scn = replace(scn, **{vehicle: LongitudinalState(4.0, 15.0, 0.0)})
+    cons = scenario_constraints(scn)
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("planned a step")
+
+    monkeypatch.setattr(simulation, "plan", no_plan)
+    with pytest.raises(InvalidParameterError, match="below"):
+        run_episode(scn, SvoConfig(0.0), WH, cons, EGO, idm, DISC)
+    with pytest.raises(InvalidParameterError, match="below"):
+        sweep_svo(scn, (0.0, math.pi / 4), WH, cons, EGO, idm, DISC)
+    assert pools == []
 
 
 def test_stacked_equilibrium_holds():
