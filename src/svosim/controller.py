@@ -16,6 +16,14 @@ evaluates the courtesy term by solving the driver best response for
 every candidate, warm-started from the previous inner solution; its
 gradient contribution is the adjoint of the best-response stationarity
 condition.
+
+SLSQP runs in scaled controls z, u = T z, with T = L^-T for the Cholesky
+factor L of the egoistic Hessian 2 w_e err_map' err_map (plus a small
+shift): that Hessian has a condition number near 1e8, and in z it is
+close to the identity SLSQP starts its quasi-Newton matrix from.  The
+control box then becomes general rows, so SLSQP is passed only the state
+rows some control in the box can violate; the rest hold everywhere in
+the box and leave the feasible set unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from . import defaults, qp
@@ -39,6 +48,8 @@ _OUTER_MAX_ITERS = 300
 _FEASIBILITY_TOL = 1e-6
 _LINESEARCH_STALLED = 8
 _INCOMPATIBLE = 4    # SLSQP's "inequality constraints incompatible"
+# shift of the scaling Hessian, relative to its mean diagonal
+_SCALE_SHIFT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -181,12 +192,16 @@ class _AvBlocks(NamedTuple):
     err_map takes the controls to the gap errors from the headway target,
     cons_jac to the state-bound rows.  egoistic is the factored phi = 0
     QP: Hessian 2 err_map' err_map, rows cons_jac then the control box
-    (+I, -I).
+    (+I, -I).  scale is L^-T and scale_inv L' for the Cholesky factor L
+    of that Hessian plus _SCALE_SHIFT times its mean diagonal; at weight
+    w_e the outer solve's scaling is scale / sqrt(w_e).
     """
 
     err_map: np.ndarray
     cons_jac: np.ndarray
     egoistic: qp.QpFactor
+    scale: np.ndarray
+    scale_inv: np.ndarray
 
 
 def _av_blocks(maps: HorizonMaps, time_headway: float) -> _AvBlocks:
@@ -199,11 +214,15 @@ def _av_blocks(maps: HorizonMaps, time_headway: float) -> _AvBlocks:
     cons_jac = np.vstack([maps.gap_u, -maps.gap_u, maps.speed_u,
                           -maps.speed_u, maps.accel_u, -maps.accel_u])
     eye = np.eye(maps.n_steps)
-    egoistic = qp.factor(2.0 * (err_map.T @ err_map),
-                         np.vstack([cons_jac, eye, -eye]))
+    hess = 2.0 * (err_map.T @ err_map)
+    egoistic = qp.factor(hess, np.vstack([cons_jac, eye, -eye]))
+    chol = np.linalg.cholesky(
+        hess + _SCALE_SHIFT * np.trace(hess) / maps.n_steps * eye)
+    scale = solve_triangular(chol, eye, lower=True).T
     if len(_BLOCKS_CACHE) > 16:
         _BLOCKS_CACHE.clear()
-    blocks = _BLOCKS_CACHE[key] = _AvBlocks(err_map, cons_jac, egoistic)
+    blocks = _BLOCKS_CACHE[key] = _AvBlocks(err_map, cons_jac, egoistic,
+                                            scale, chol.T)
     return blocks
 
 
@@ -243,6 +262,16 @@ class _AvProblem:
 
     def max_violation(self, u: np.ndarray) -> float:
         return float(np.max(-self.constraint_values(u), initial=0.0))
+
+    def violable_rows(self) -> np.ndarray:
+        """Mask of the state rows some control in the box can violate.
+
+        A row is dropped when its minimum over the box, taken coordinate
+        by coordinate, is still nonnegative.
+        """
+        jac, cons = self.cons_jac, self.cons
+        box_min = np.minimum(jac * cons.u_min, jac * cons.u_max).sum(axis=1)
+        return self.cons_off + box_min < 0.0
 
 
 class _OuterProblem(_AvProblem):
@@ -313,23 +342,49 @@ def _solve_outer(prob: _OuterProblem, u0: np.ndarray, cons: AvConstraints,
                  settings: OuterSettings):
     """(u, converged, iterations, status) of one outer solve from u0.
 
-    phi = 0 is the exact QP, which needs no start; phi > 0 runs SLSQP.
+    phi = 0 is the exact QP, which needs no start; phi > 0 runs SLSQP in
+    the scaled controls z = T^-1 u (module docstring).  Its inequality
+    rows are the violable state rows times T, then the box as T z >= u_min
+    and -T z >= -u_max.  The answer is clipped to the box, and its
+    violation and the convergence flag are judged on every state row.
     """
     if prob.w_c == 0.0:
         return _solve_egoistic(prob)
-    bounds = [(cons.u_min, cons.u_max)] * prob.n
-    constraints = [{"type": "ineq", "fun": prob.constraint_values,
-                    "jac": lambda u: prob.cons_jac}]
+    root = math.sqrt(prob.w_e)
+    scale = prob.blocks.scale / root
+    keep = prob.violable_rows()
+    rows = np.vstack([prob.cons_jac[keep] @ scale, scale, -scale])
+    offs = np.concatenate([prob.cons_off[keep], np.full(prob.n, -cons.u_min),
+                           np.full(prob.n, cons.u_max)])
+
+    def value_and_grad(z):
+        total, grad = prob.value_and_grad(scale @ z)
+        return total, scale.T @ grad
+
+    constraints = [{"type": "ineq", "fun": lambda z: rows @ z + offs,
+                    "jac": lambda z: rows}]
     options = {"maxiter": settings.max_iters, "ftol": settings.ftol}
-    res = minimize(prob.value_and_grad, u0, jac=True, method="SLSQP",
-                   bounds=bounds, constraints=constraints, options=options)
-    u = np.clip(res.x, cons.u_min, cons.u_max)
+    res = minimize(value_and_grad, root * (prob.blocks.scale_inv @ u0),
+                   jac=True, method="SLSQP", constraints=constraints,
+                   options=options)
+    u = np.clip(scale @ res.x, cons.u_min, cons.u_max)
     viol = prob.max_violation(u)
     # a stalled line search at a feasible iterate is stationarity within
     # the accuracy of the courtesy gradient
     converged = bool(res.success) or (res.status == _LINESEARCH_STALLED
                                       and viol <= _FEASIBILITY_TOL)
     return u, converged, int(res.nit), int(res.status)
+
+
+def _sequence(name: str, seq, n_steps: int) -> np.ndarray | None:
+    """seq as a float array of n_steps entries (None passes through)."""
+    if seq is None:
+        return None
+    arr = np.asarray(seq, dtype=float)
+    if arr.shape != (n_steps,):
+        raise InvalidParameterError(
+            f"{name} must hold {n_steps} controls, got shape {arr.shape}")
+    return arr
 
 
 def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
@@ -356,18 +411,22 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
     to be applied; replan each step.  The caller receives flags instead
     of exceptions: converged reports the outer iteration, inner_feasible
     the last best-response solve.
+
+    Raises:
+        InvalidParameterError: a warm start that is not n_steps long.
     """
     w_e, w_c = svo_weights(svo.phi)
     hc = HumanConstraints(v_min=cons.v_min, v_max=cons.v_max,
                           d_min=w_h.min_gap)
     pv = hold_last(pv_preview, n_steps)
+    warm_start = _sequence("warm_start", warm_start, n_steps)
     u0 = np.zeros(n_steps) if warm_start is None else \
-        np.clip(np.asarray(warm_start, dtype=float), cons.u_min, cons.u_max)
+        np.clip(warm_start, cons.u_min, cons.u_max)
 
     prob = _OuterProblem(x_av, x_h, pv, w_h, hc, cons, ego, v_limit, disc,
                          n_steps, w_e, w_c)
-    if response_warm_start is not None:
-        prob.inner_warm = np.asarray(response_warm_start, dtype=float)
+    prob.inner_warm = _sequence("response_warm_start", response_warm_start,
+                                n_steps)
     u, converged, nit, status = _solve_outer(
         prob, u0, cons, settings if settings is not None else OuterSettings())
 

@@ -325,8 +325,11 @@ def test_export_roundtrip_keeps_outer_counts(tmp_path):
                                    run_episode)
     setup = build_setup(ExperimentConfig())
     scn = replace(setup.scenario, pv_speeds=setup.scenario.pv_speeds[:20])
+    # a cap below what these plans need, so that some steps end at it
+    settings = replace(EPISODE_PLAN_SETTINGS, max_iters=5)
     trace = run_episode(scn, SvoConfig(math.pi / 4), setup.weights,
-                        setup.cons, setup.ego, setup.idm, setup.disc)
+                        setup.cons, setup.ego, setup.idm, setup.disc,
+                        plan_settings=settings)
     cli_io.export_results(trace, compute_metrics(trace), tmp_path)
     back = load_trace_csv(tmp_path / "trace.csv")
     assert np.array_equal(back.outer_iters, trace.outer_iters)
@@ -334,7 +337,7 @@ def test_export_roundtrip_keeps_outer_counts(tmp_path):
     # SLSQP status 9 is its iteration cap
     capped = trace.outer_status == 9
     assert capped.any()
-    assert np.all(trace.outer_iters[capped] == EPISODE_PLAN_SETTINGS.max_iters)
+    assert np.all(trace.outer_iters[capped] == settings.max_iters)
 
 
 def test_run_output_parses(run_outdir):

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from svosim import controller as ctl
 from svosim import driver_model as dm
 from svosim import dynamics
 from svosim.errors import InvalidParameterError
+from svosim.simulation import EPISODE_PLAN_SETTINGS
 
 DISC = dynamics.discretize_zoh(dynamics.build_continuous(0.45), 0.1)
 CONS = ctl.AvConstraints(d_min=5.0, d_max=45.0, v_min=0.0, v_max=25.0,
@@ -382,3 +385,61 @@ def test_phi_zero_infeasible_plan_flagged_not_raised():
     assert res.outer_status == 4
     assert np.all(np.isfinite(res.u_seq))
     assert np.min(res.u_seq) >= CONS.u_min and np.max(res.u_seq) <= CONS.u_max
+
+
+@pytest.mark.parametrize("phi", (0.0, math.pi / 4))
+@pytest.mark.parametrize("keyword", ("warm_start", "response_warm_start"))
+def test_plan_rejects_warm_start_of_wrong_length(phi, keyword):
+    x_av, x_h, pv = TRANSIENT
+    for n in (29, 31):
+        with pytest.raises(InvalidParameterError):
+            ctl.plan(x_av, x_h, pv, WH, ctl.SvoConfig(phi), CONS, EGO,
+                     V_LIMIT, DISC, **{keyword: np.zeros(n)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap=st.floats(CONS.d_min, CONS.d_max),
+       speed=st.floats(CONS.v_min, CONS.v_max),
+       accel=st.floats(CONS.a_min, CONS.a_max),
+       preview=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=30),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_screen_drops_only_rows_the_box_cannot_violate(gap, speed, accel,
+                                                          preview, seed):
+    prob = ctl._AvProblem(dynamics.LongitudinalState(gap, speed, accel),
+                          dynamics.hold_last(np.array(preview), 30), CONS,
+                          EGO, DISC, 30)
+    dropped = ~prob.violable_rows()
+    # a linear row is smallest over the box at the vertex that takes each
+    # control to the bound against the sign of its coefficient
+    jac = prob.cons_jac[dropped]
+    vertex = np.where(jac > 0.0, CONS.u_min, CONS.u_max)
+    assert np.all(np.sum(jac * vertex, axis=1)
+                  + prob.cons_off[dropped] >= 0.0)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(CONS.u_min, CONS.u_max, size=(200, 30))
+    u[:20] = rng.choice([CONS.u_min, CONS.u_max], size=(20, 30))
+    values = u @ jac.T + prob.cons_off[dropped]
+    assert np.all(values >= -1e-9)
+
+
+@pytest.mark.parametrize("phi", SWEEP[1:])
+@pytest.mark.parametrize("case", (TRANSIENT, BRAKE, ACCEL))
+def test_row_screen_keeps_the_tight_plan(case, phi, monkeypatch):
+    x_av, x_h, pv = case
+    args = (x_av, x_h, pv, WH, ctl.SvoConfig(phi), CONS, EGO, V_LIMIT, DISC)
+    screened = ctl.plan(*args)
+    monkeypatch.setattr(ctl._AvProblem, "violable_rows",
+                        lambda self: np.ones(len(self.cons_off), bool))
+    full = ctl.plan(*args)
+    assert abs(screened.cost_total - full.cost_total) <= \
+        1e-6 * full.cost_total
+
+
+@pytest.mark.parametrize("phi", SWEEP[1:])
+@pytest.mark.parametrize("case", (TRANSIENT, BRAKE, ACCEL))
+def test_cold_plan_converges_within_episode_cap(case, phi):
+    x_av, x_h, pv = case
+    res = ctl.plan(x_av, x_h, pv, WH, ctl.SvoConfig(phi), CONS, EGO, V_LIMIT,
+                   DISC, settings=EPISODE_PLAN_SETTINGS)
+    assert res.outer_status == 0
+    assert res.converged
