@@ -1,10 +1,12 @@
 """Experiment configuration, dataset ingestion, CLI, and result export.
 
 Everything that touches the filesystem or the command line lives here:
-flat key-value config files, lead-profile CSVs, NGSIM trajectory
-extraction, demonstration synthesis, and the trace/metrics exporters
-whose output downstream plotting consumes.  Exported files are
-byte-stable for identical inputs; floats are written with repr so a
+flat key-value config and weights files, lead-profile and demonstration
+CSVs, NGSIM trajectory extraction, demonstration synthesis, and the
+trace/metrics exporters whose output downstream plotting consumes.
+Each input shape has one reader: _read_csv_columns for the time-indexed
+CSVs and _read_key_values for the `key = value` files.  Exported files
+are byte-stable for identical inputs; floats are written with repr so a
 re-parse recovers them exactly.
 """
 
@@ -26,8 +28,7 @@ from .controller import AvConstraints, EgoisticParams, SvoConfig
 # respond_to_leader and step stay imported: perfbench/layers.py traces them
 from .driver_model import (Demonstration, DriverWeights, FEATURE_NAMES,
                            HumanConstraints, _uneven_dt, fit_weights_maxent,
-                           load_demonstration_csv, replan_rollout,
-                           respond_to_leader, save_demonstration_csv)
+                           replan_rollout, respond_to_leader)
 from .dynamics import (DiscreteDynamics, LongitudinalState, build_continuous,
                        discretize_zoh, step)
 from .errors import (CollisionError, FitDivergenceError,
@@ -44,6 +45,8 @@ FT_TO_M = 0.3048
 SYNTHETIC_SCENARIO = "synthetic-default"
 
 PV_PROFILE_HEADER = ["t", "speed_mps"]
+DEMO_HEADER = ["t", "gap_m", "speed_mps", "accel_mps2", "leader_speed_mps",
+               "control_mps2"]
 # trace.csv columns in file order -> (EpisodeTrace field, kind).  Rows run
 # step-major, keyed by the "index" and "label" columns; a "vehicle" column
 # holds a per-vehicle field, and "step", "count" and "flag" columns
@@ -205,13 +208,16 @@ _CONFIG_CASTERS = {
 _KEY_TO_FIELD = {"phi": "phi_levels"}
 
 
-def parse_config_file(path) -> dict:
-    """Flat `key = value` lines, # comments; returns {key: value string}."""
-    entries = {}
+def _read_key_values(path, what: str) -> list:
+    """(line, key, value) of each `key = value` line; # starts a comment.
+
+    what names the file kind in the error for an unreadable file.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise InvalidParameterError(f"cannot read config {path}: {exc}")
+        raise InvalidParameterError(f"cannot read {what} {path}: {exc}")
+    entries = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -220,6 +226,14 @@ def parse_config_file(path) -> dict:
             raise InvalidParameterError(
                 f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in text.split("=", 1))
+        entries.append((lineno, key, value))
+    return entries
+
+
+def parse_config_file(path) -> dict:
+    """Flat `key = value` lines, # comments; returns {key: value string}."""
+    entries = {}
+    for lineno, key, value in _read_key_values(path, "config"):
         if key not in _CONFIG_CASTERS:
             raise InvalidParameterError(
                 f"{path}:{lineno}: unknown config key {key!r}")
@@ -248,7 +262,54 @@ def build_config(file_vals: dict | None, flag_vals: dict) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Lead-profile sources
+# Input CSVs and lead-profile sources
+
+
+def _read_csv_columns(path, header: list) -> tuple:
+    """(columns as the rows of one array, line of each data row) of a CSV.
+
+    The first line must be header and the first column time, increasing
+    on a uniform grid (1e-6 s); blank and whitespace-only lines are
+    skipped.  Any other deviation is a TraceParseError naming its line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise TraceParseError(f"cannot read {path}: {exc}")
+    if not rows:
+        raise TraceParseError(f"{path}: empty file", line=1)
+    got = [h.strip() for h in rows[0]]
+    if got != header:
+        raise TraceParseError(
+            f"{path}: expected header {','.join(header)}, "
+            f"got {','.join(got)}", line=1)
+    values, linenos = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise TraceParseError(f"{path}: expected {len(header)} fields",
+                                  line=lineno)
+        try:
+            numbers = [float(cell) for cell in row]
+        except ValueError:
+            raise TraceParseError(f"{path}: malformed number in {row!r}",
+                                  line=lineno) from None
+        if not all(map(math.isfinite, numbers)):
+            raise TraceParseError(f"{path}: non-finite value", line=lineno)
+        values.append(numbers)
+        linenos.append(lineno)
+    if not values:
+        raise TraceParseError(f"{path}: no data rows", line=len(rows))
+    cols = np.array(values).T
+    t = cols[0]
+    if len(t) > 1 and not t[1] - t[0] > 0:
+        raise TraceParseError(f"{path}: time must increase", line=linenos[1])
+    uneven = _uneven_dt(t)
+    if uneven:
+        raise TraceParseError(f"{path}: {uneven[1]}", line=linenos[uneven[0]])
+    return cols, linenos
 
 
 @dataclass(frozen=True)
@@ -261,54 +322,18 @@ class LoadedProfile:
 
 
 def load_pv_profile_csv(path) -> LoadedProfile:
-    """Load a `t,speed_mps` CSV with a uniform time grid.
+    """Load a `t,speed_mps` CSV (rules of _read_csv_columns).
 
-    Negative speeds are clamped to zero and counted; a non-uniform step
-    (beyond 1e-6 s), a short file, or an unparseable row is an error
-    naming the offending line.
+    Negative speeds are clamped to zero and counted; a file needs at
+    least two data rows.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise TraceParseError(f"cannot read {path}: {exc}")
-    if not rows:
-        raise TraceParseError(f"{path}: empty file", line=1)
-    header = [h.strip() for h in rows[0]]
-    if header != PV_PROFILE_HEADER:
+    (t, speeds), linenos = _read_csv_columns(path, PV_PROFILE_HEADER)
+    if len(t) < 2:
         raise TraceParseError(
-            f"{path}: expected header {','.join(PV_PROFILE_HEADER)}, "
-            f"got {','.join(header)}", line=1)
-    times, speeds, linenos = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise TraceParseError(f"{path}: expected 2 fields", line=lineno)
-        try:
-            t, v = float(row[0]), float(row[1])
-        except ValueError:
-            raise TraceParseError(
-                f"{path}: unparseable number in {row}", line=lineno)
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise TraceParseError(f"{path}: non-finite value", line=lineno)
-        times.append(t)
-        speeds.append(v)
-        linenos.append(lineno)
-    if len(times) < 2:
-        raise TraceParseError(
-            f"{path}: need at least two data rows", line=len(rows))
-    dt = times[1] - times[0]
-    if not dt > 0:
-        raise TraceParseError(f"{path}: time must increase",
-                              line=linenos[1])
-    uneven = _uneven_dt(np.asarray(times))
-    if uneven:
-        raise TraceParseError(f"{path}: {uneven[1]}", line=linenos[uneven[0]])
-    arr = np.asarray(speeds, dtype=float)
-    clamped = int(np.sum(arr < 0))
-    return LoadedProfile(speeds=np.maximum(arr, 0.0), dt=float(dt),
-                         clamped_negative=clamped)
+            f"{path}: need at least two data rows", line=linenos[-1])
+    return LoadedProfile(speeds=np.maximum(speeds, 0.0),
+                         dt=float(t[1] - t[0]),
+                         clamped_negative=int(np.sum(speeds < 0)))
 
 
 def save_pv_profile_csv(path, speeds, dt: float) -> None:
@@ -317,6 +342,25 @@ def save_pv_profile_csv(path, speeds, dt: float) -> None:
         writer.writerow(PV_PROFILE_HEADER)
         for i, v in enumerate(np.asarray(speeds, dtype=float)):
             writer.writerow([repr(i * dt), repr(float(v))])
+
+
+def load_demonstration_csv(path) -> Demonstration:
+    """Load one demonstration CSV (DEMO_HEADER; rules of _read_csv_columns)."""
+    (t, gaps, speeds, accels, leader_speeds, controls), _ = \
+        _read_csv_columns(path, DEMO_HEADER)
+    return Demonstration(t=t, gaps=gaps, speeds=speeds, accels=accels,
+                         leader_speeds=leader_speeds, controls=controls)
+
+
+def save_demonstration_csv(path, demo: Demonstration) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DEMO_HEADER)
+        for i in range(len(demo)):
+            writer.writerow([repr(float(v)) for v in
+                             (demo.t[i], demo.gaps[i], demo.speeds[i],
+                              demo.accels[i], demo.leader_speeds[i],
+                              demo.controls[i])])
 
 
 @dataclass(frozen=True)
@@ -454,18 +498,7 @@ def save_weights_file(path, w: DriverWeights) -> None:
 
 def load_weights_file(path) -> DriverWeights:
     values = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot read weights {path}: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise InvalidParameterError(
-                f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in text.split("=", 1))
+    for lineno, key, value in _read_key_values(path, "weights"):
         try:
             values[key] = float(value)
         except ValueError:

@@ -40,7 +40,7 @@ from . import defaults, qp
 from .driver_model import (BestResponse, DriverWeights, HumanConstraints,
                            respond_to_leader, response_speed_sensitivity)
 from .dynamics import (DiscreteDynamics, HorizonMaps, LongitudinalState,
-                       build_horizon_maps, hold_last)
+                       build_horizon_maps, cached_build, hold_last)
 from .errors import InvalidParameterError, QpInfeasibleError
 
 _SQP_FTOL = 1e-12
@@ -206,10 +206,11 @@ class _AvBlocks(NamedTuple):
 
 def _av_blocks(maps: HorizonMaps, time_headway: float) -> _AvBlocks:
     """Build (and cache) the constant blocks for one horizon and headway."""
-    key = (maps.key, time_headway)
-    hit = _BLOCKS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return cached_build(_BLOCKS_CACHE, (maps.key, time_headway),
+                        lambda: _build_av_blocks(maps, time_headway))
+
+
+def _build_av_blocks(maps: HorizonMaps, time_headway: float) -> _AvBlocks:
     err_map = time_headway * maps.speed_u - maps.gap_u
     cons_jac = np.vstack([maps.gap_u, -maps.gap_u, maps.speed_u,
                           -maps.speed_u, maps.accel_u, -maps.accel_u])
@@ -219,11 +220,7 @@ def _av_blocks(maps: HorizonMaps, time_headway: float) -> _AvBlocks:
     chol = np.linalg.cholesky(
         hess + _SCALE_SHIFT * np.trace(hess) / maps.n_steps * eye)
     scale = solve_triangular(chol, eye, lower=True).T
-    if len(_BLOCKS_CACHE) > 16:
-        _BLOCKS_CACHE.clear()
-    blocks = _BLOCKS_CACHE[key] = _AvBlocks(err_map, cons_jac, egoistic,
-                                            scale, chol.T)
-    return blocks
+    return _AvBlocks(err_map, cons_jac, egoistic, scale, chol.T)
 
 
 class _AvProblem:
@@ -292,30 +289,28 @@ class _OuterProblem(_AvProblem):
         self.w_c = w_c
         self.inner_warm: np.ndarray | None = None
 
-    def respond(self, u: np.ndarray, warm, refine: bool = False
-                ) -> tuple[np.ndarray, BestResponse]:
-        """The leader speed profile of plan u and the driver's response."""
+    def respond(self, u: np.ndarray, warm,
+                refine: bool = False) -> BestResponse:
+        """The driver's response to the speed profile of plan u."""
         leader = np.concatenate([[self.x_av.speed],
                                  self.maps.speed_u @ u + self.v0])
-        return leader, respond_to_leader(self.x_h, leader, self.w_h, self.hc,
-                                         self.disc, self.n, self.v_limit,
-                                         warm_start=warm, refine=refine)
+        return respond_to_leader(self.x_h, leader, self.w_h, self.hc,
+                                 self.disc, self.n, self.v_limit,
+                                 warm_start=warm, refine=refine)
 
     def value_and_grad(self, u: np.ndarray):
         err = self.err_map @ u + self.err0
         total = self.w_e * float(err @ err)
         grad = 2.0 * self.w_e * (self.err_map.T @ err)
         if self.w_c > 0.0:
-            leader, base = self.respond(u, self.inner_warm)
+            base = self.respond(u, self.inner_warm)
             self.inner_warm = base.controls
             total += self.w_c * float(np.sum((self.v_limit
                                               - base.speeds) ** 2))
             # the courtesy term reaches the controls only through the AV
             # speed profile the driver responds to
             lead_grad = response_speed_sensitivity(
-                self.x_h, leader, base.controls, self.w_h, self.hc,
-                self.disc, self.n, self.v_limit,
-                -2.0 * (self.v_limit - base.speeds))
+                base, -2.0 * (self.v_limit - base.speeds))
             grad = grad + self.w_c * (self.maps.speed_u.T @ lead_grad[1:])
         return total, grad
 
@@ -432,7 +427,7 @@ def plan(x_av: LongitudinalState, x_h: LongitudinalState, pv_preview,
 
     g, v, a = prob.av_rollout(u)
     av_traj = PredictedTrajectory(gaps=g, speeds=v, accels=a)
-    _, resp = prob.respond(u, prob.inner_warm, refine=True)
+    resp = prob.respond(u, prob.inner_warm, refine=True)
     hv0_traj = PredictedTrajectory(gaps=resp.gaps, speeds=resp.speeds,
                                    accels=resp.accels)
     ce = egoistic_cost(av_traj, ego)

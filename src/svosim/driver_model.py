@@ -8,17 +8,16 @@ desired following distance d_D = v tau_H + d_s.  The best response is a
 single-shooting solve over the control sequence; gap and speed-bound
 constraints enter as quadratic penalties.
 
-Weights can be fitted offline from demonstration files by matching
-feature expectations (deterministic MaxEnt approximation): the gradient
-is the gap between features accumulated by re-planned model rollouts and
-the demonstrations' own feature sums.
+Weights can be fitted offline to demonstrations by matching feature
+expectations (deterministic MaxEnt approximation): the gradient is the
+gap between features accumulated by re-planned model rollouts and the
+demonstrations' own feature sums.  The module touches no files;
+demonstration and weights files are read and written by cli_io.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -28,8 +27,8 @@ from scipy.optimize import minimize
 
 from . import defaults
 from .dynamics import (DiscreteDynamics, HorizonMaps, LongitudinalState,
-                       build_horizon_maps, hold_last, step)
-from .errors import FitDivergenceError, InvalidParameterError, TraceParseError
+                       build_horizon_maps, cached_build, hold_last, step)
+from .errors import FitDivergenceError, InvalidParameterError
 
 FEATURE_NAMES = ("accel_sq", "speed_deficit_sq", "rel_speed_sq", "gap_offset")
 
@@ -41,6 +40,8 @@ _ESCALATION_FACTOR = 32.0
 # gap equilibrates at incursion ~ cost slope / penalty weight, which
 # needs that much to land beyond the 1e-6 feasibility tolerance
 _MAX_ESCALATIONS = 3
+# fit_weights_maxent stops with FitDivergenceError beyond this weight
+_WEIGHT_CAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,8 @@ class BestResponse:
 
     cost is the true (unsmoothed, unpenalized) feature cost along the
     response; max_violation the worst state-constraint violation.
+    problem is the solved objective, which response_speed_sensitivity
+    differentiates.
     """
 
     controls: np.ndarray
@@ -195,6 +198,8 @@ class BestResponse:
     cost: float
     feasible: bool
     max_violation: float
+    problem: _ResponseProblem | None = field(default=None, repr=False,
+                                             compare=False)
 
 
 _BLOCKS_CACHE: dict = {}
@@ -216,10 +221,12 @@ class _DriverBlocks(NamedTuple):
 
 def _driver_blocks(maps: HorizonMaps, weights: DriverWeights) -> _DriverBlocks:
     """Build (and cache) the constant blocks for one horizon and weights."""
-    key = (maps.key, weights)
-    hit = _BLOCKS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return cached_build(_BLOCKS_CACHE, (maps.key, weights),
+                        lambda: _build_driver_blocks(maps, weights))
+
+
+def _build_driver_blocks(maps: HorizonMaps,
+                         weights: DriverWeights) -> _DriverBlocks:
     tau = weights.tau_headway
     M, P, X = (np.vstack([g, v, a, tau * v - g]) for g, v, a in (
         (maps.gap_u, maps.speed_u, maps.accel_u),
@@ -229,10 +236,7 @@ def _driver_blocks(maps: HorizonMaps, weights: DriverWeights) -> _DriverBlocks:
     H_q = (2.0 * w_a * (maps.accel_u.T @ maps.accel_u)
            + 2.0 * (w_ds + w_rs) * (maps.speed_u.T @ maps.speed_u)
            + 1e-10 * np.eye(maps.n_steps))
-    if len(_BLOCKS_CACHE) > 16:
-        _BLOCKS_CACHE.clear()
-    blocks = _BLOCKS_CACHE[key] = _DriverBlocks(M, P, X, H_q)
-    return blocks
+    return _DriverBlocks(M, P, X, H_q)
 
 
 def _spd_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -461,27 +465,20 @@ def respond_to_leader(x0: LongitudinalState, leader_speeds,
     return BestResponse(controls=u, gaps=gaps, speeds=speeds, accels=accels,
                         cost=prob.true_cost(u),
                         feasible=bool(viol <= _FEASIBILITY_TOL),
-                        max_violation=viol)
+                        max_violation=viol, problem=prob)
 
 
-def response_speed_sensitivity(x0: LongitudinalState, leader_speeds,
-                               controls, weights: DriverWeights,
-                               hc: HumanConstraints, disc: DiscreteDynamics,
-                               n_steps: int, v_limit: float,
-                               speed_grad) -> np.ndarray:
+def response_speed_sensitivity(resp: BestResponse, speed_grad) -> np.ndarray:
     """Leader-speed gradient of a scalar of the response speeds.
 
-    controls must be the solution respond_to_leader(refine=False) found
-    for the same inputs; the result accounts for the response shifting
-    with the leader profile through that solve's stationarity.
-    speed_grad is the scalar's gradient in the response speed samples;
-    the result has one entry per leader speed sample (n_steps + 1).
+    resp is a response respond_to_leader(refine=False) returned; the
+    result accounts for the response shifting with the leader profile
+    through that solve's stationarity.  speed_grad is the scalar's
+    gradient in the response speed samples; the result has one entry per
+    leader speed sample (n_steps + 1).
     """
-    maps = build_horizon_maps(disc, n_steps)
-    prob = _ResponseProblem(maps, x0, np.asarray(leader_speeds, dtype=float),
-                            weights, hc, v_limit, defaults.PENALTY_WEIGHT)
-    return prob.leader_sensitivity(np.asarray(controls, dtype=float),
-                                   np.asarray(speed_grad, dtype=float))
+    return resp.problem.leader_sensitivity(
+        resp.controls, np.asarray(speed_grad, dtype=float))
 
 
 def best_response(x_av: LongitudinalState, x_human: LongitudinalState,
@@ -537,70 +534,6 @@ def replan_rollout(x0: LongitudinalState, leader_speeds, n_applied: int,
 
 
 # ---------------------------------------------------------------------------
-# Demonstration files
-
-
-DEMO_HEADER = ["t", "gap_m", "speed_mps", "accel_mps2", "leader_speed_mps",
-               "control_mps2"]
-
-
-def load_demonstration_csv(path) -> Demonstration:
-    """Parse one demonstration CSV.
-
-    Raises:
-        TraceParseError: wrong header, malformed numbers, or a time
-            column whose spacing varies by more than 1e-6 s (the message
-            names the first offending line).
-    """
-    rows, linenos = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceParseError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != DEMO_HEADER:
-            raise TraceParseError(
-                f"{path}: expected header {','.join(DEMO_HEADER)}, "
-                f"got {','.join(header)}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(DEMO_HEADER):
-                raise TraceParseError(
-                    f"{path}: expected {len(DEMO_HEADER)} fields",
-                    line=lineno)
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise TraceParseError(
-                    f"{path}: malformed number in {row!r}",
-                    line=lineno) from None
-            linenos.append(lineno)
-    if not rows:
-        raise TraceParseError(f"{path}: no data rows")
-    cols = np.array(rows).T
-    t = cols[0]
-    uneven = _uneven_dt(t)
-    if uneven:
-        raise TraceParseError(f"{path}: {uneven[1]}",
-                              line=linenos[uneven[0]])
-    return Demonstration(t=t, gaps=cols[1], speeds=cols[2], accels=cols[3],
-                         leader_speeds=cols[4], controls=cols[5])
-
-
-def save_demonstration_csv(path, demo: Demonstration) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DEMO_HEADER)
-        for i in range(len(demo)):
-            writer.writerow([repr(float(v)) for v in
-                             (demo.t[i], demo.gaps[i], demo.speeds[i],
-                              demo.accels[i], demo.leader_speeds[i],
-                              demo.controls[i])])
-
-
-# ---------------------------------------------------------------------------
 # Weight fitting
 
 
@@ -646,8 +579,7 @@ def fit_weights_maxent(demos, w0: DriverWeights, learn_rate: float = 0.2,
                        hc: HumanConstraints, disc: DiscreteDynamics,
                        v_limit: float,
                        n_steps: int = defaults.HORIZON_STEPS,
-                       tau_override: float | None = None,
-                       weight_cap: float = 1e3) -> FitResult:
+                       tau_override: float | None = None) -> FitResult:
     """Fit driver weights by feature-expectation matching.
 
     Projected gradient ascent on the demonstration likelihood under the
@@ -662,7 +594,7 @@ def fit_weights_maxent(demos, w0: DriverWeights, learn_rate: float = 0.2,
 
     Raises:
         InvalidParameterError: a demonstration's dt differs from disc.dt.
-        FitDivergenceError: a weight exceeded weight_cap.
+        FitDivergenceError: a weight exceeded 1e3 (_WEIGHT_CAP).
     """
     if not demos:
         raise InvalidParameterError("need at least one demonstration")
@@ -697,7 +629,7 @@ def fit_weights_maxent(demos, w0: DriverWeights, learn_rate: float = 0.2,
             break
         grad = (model_feats - demo_feats) / scale
         new_w = np.maximum(0.0, current.as_array() + learn_rate * grad)
-        if np.any(new_w > weight_cap):
+        if np.any(new_w > _WEIGHT_CAP):
             raise FitDivergenceError(
                 f"weight fitting diverged at iteration {it}: {new_w}",
                 iteration=it, weights=new_w, mismatch=mismatch)

@@ -172,6 +172,17 @@ def hold_last(seq, length: int) -> np.ndarray:
     return np.concatenate([arr, np.full(length - arr.size, arr[-1])])
 
 
+def cached_build(cache: dict, key, build):
+    """cache[key], made by build() on a miss; a cache holding more than
+    16 entries is emptied before the next store."""
+    hit = cache.get(key)
+    if hit is None:
+        if len(cache) > 16:
+            cache.clear()
+        hit = cache[key] = build()
+    return hit
+
+
 _MAPS_CACHE: dict = {}
 
 
@@ -181,11 +192,11 @@ def build_horizon_maps(disc: DiscreteDynamics, n_steps: int) -> HorizonMaps:
         raise InvalidParameterError(f"horizon must be >= 1 step, got {n_steps}")
     key = (disc.Ad.tobytes(), disc.Bd.tobytes(), disc.Dd.tobytes(),
            disc.dt, n_steps)
-    hit = _MAPS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return cached_build(_MAPS_CACHE, key,
+                        lambda: _assemble_maps(disc, n_steps, key))
 
-    n = n_steps
+
+def _assemble_maps(disc: DiscreteDynamics, n: int, key: tuple) -> HorizonMaps:
     pow_b = np.empty((n, 3))
     pow_d = np.empty((n, 3))
     pow_a = np.empty((n, 3, 3))
@@ -212,11 +223,7 @@ def build_horizon_maps(disc: DiscreteDynamics, n_steps: int) -> HorizonMaps:
         v_x[j - 1] = pow_a[j - 1][1]
         a_x[j - 1] = pow_a[j - 1][2]
 
-    maps = HorizonMaps(n_steps=n, dt=disc.dt,
+    return HorizonMaps(n_steps=n, dt=disc.dt,
                        gap_u=g_u, speed_u=v_u, accel_u=a_u,
                        gap_p=g_p, speed_p=v_p, accel_p=a_p,
                        gap_x=g_x, speed_x=v_x, accel_x=a_x, key=key)
-    if len(_MAPS_CACHE) > 16:
-        _MAPS_CACHE.clear()
-    _MAPS_CACHE[key] = maps
-    return maps

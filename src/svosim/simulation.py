@@ -340,14 +340,13 @@ def run_episode(scn: Scenario, svo: SvoConfig, w_h: DriverWeights,
                         v_limit=scn.v_limit, phi=svo.phi, label=scn.label)
 
 
-def compute_metrics(trace: EpisodeTrace,
-                    v_floor: float = defaults.HEADWAY_SPEED_FLOOR
-                    ) -> TrafficMetrics:
+def compute_metrics(trace: EpisodeTrace) -> TrafficMetrics:
     """Average gap and time headway per follower pair and traffic-wide.
 
     Gap averages use every sample.  Headway (gap over own speed)
-    averages skip samples at or below the speed floor, where the ratio
-    degenerates; skipped counts are reported per pair.
+    averages skip samples at or below the speed floor
+    defaults.HEADWAY_SPEED_FLOOR (reported as headway_speed_floor), where
+    the ratio degenerates; skipped counts are reported per pair.
     """
     if len(trace) == 0:
         raise InvalidParameterError("empty trace")
@@ -360,7 +359,7 @@ def compute_metrics(trace: EpisodeTrace,
         g = trace.gaps[row]
         v = trace.speeds[row]
         avg_gap.append(float(np.mean(g)))
-        moving = v > v_floor
+        moving = v > defaults.HEADWAY_SPEED_FLOOR
         excluded.append(int(np.sum(~moving)))
         if np.any(moving):
             avg_headway.append(float(np.mean(g[moving] / v[moving])))
@@ -372,7 +371,7 @@ def compute_metrics(trace: EpisodeTrace,
         avg_headway=tuple(avg_headway), headway_excluded=tuple(excluded),
         traffic_avg_gap=float(np.mean(avg_gap)),
         traffic_avg_headway=float(np.mean(defined)) if defined else None,
-        headway_speed_floor=v_floor)
+        headway_speed_floor=defaults.HEADWAY_SPEED_FLOOR)
 
 
 def _available_cpus() -> int:

@@ -146,7 +146,8 @@ def test_pv_nonuniform_step_names_line(tmp_path):
 
 def test_pv_step_errors_name_the_real_line_after_blank_lines(tmp_path):
     cases = {"uneven.csv": ("t,speed_mps\n0,5\n0.1,5\n\n0.2,5\n0.4,5\n", 6),
-             "backwards.csv": ("t,speed_mps\n\n\n0,5\n0,5\n0.1,5\n", 5)}
+             "backwards.csv": ("t,speed_mps\n\n\n0,5\n0,5\n0.1,5\n", 5),
+             "spaces.csv": ("t,speed_mps\n0,5\n  \n0.1,5\n0.3,5\n", 5)}
     for name, (text, line) in cases.items():
         path = tmp_path / name
         path.write_text(text)
@@ -444,9 +445,8 @@ def test_synthesized_demos_deterministic():
 
 
 def test_cli_gen_demos_then_fit_zero_iters(tmp_path, capsys):
-    from svosim.driver_model import (HumanConstraints,
-                                     load_demonstration_csv,
-                                     save_demonstration_csv)
+    from svosim.cli_io import load_demonstration_csv, save_demonstration_csv
+    from svosim.driver_model import HumanConstraints
     from svosim.dynamics import build_continuous, discretize_zoh
     demo_dir = tmp_path / "demos"
     rc = cli_main(["gen-demos", "--count", "1", "--seed", "3",

@@ -322,8 +322,7 @@ def test_leader_speed_gradient_matches_finite_differences():
     resp = dm.respond_to_leader(x_h, leader, WH, HC, DISC, n, V_LIMIT,
                                 refine=False)
     speed_grad = -2.0 * (V_LIMIT - resp.speeds)
-    grad = dm.response_speed_sensitivity(x_h, leader, resp.controls, WH, HC,
-                                         DISC, n, V_LIMIT, speed_grad)
+    grad = dm.response_speed_sensitivity(resp, speed_grad)
 
     def courtesy(ls):
         r = dm.respond_to_leader(x_h, ls, WH, HC, DISC, n, V_LIMIT,

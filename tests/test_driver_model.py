@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from svosim import cli_io
 from svosim import driver_model as dm
 from svosim import dynamics
 from svosim.errors import (FitDivergenceError, InvalidParameterError,
@@ -393,8 +394,8 @@ def test_demo_validation():
 def test_demo_csv_round_trip(tmp_path):
     demo = make_demo()
     path = tmp_path / "demo.csv"
-    dm.save_demonstration_csv(path, demo)
-    back = dm.load_demonstration_csv(path)
+    cli_io.save_demonstration_csv(path, demo)
+    back = cli_io.load_demonstration_csv(path)
     for name in ("t", "gaps", "speeds", "accels", "leader_speeds",
                  "controls"):
         assert np.array_equal(getattr(demo, name), getattr(back, name))
@@ -404,37 +405,49 @@ def test_demo_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "demo.csv"
     path.write_text("time,gap,speed,accel,leader,control\n0,1,2,3,4,5\n")
     with pytest.raises(TraceParseError):
-        dm.load_demonstration_csv(path)
+        cli_io.load_demonstration_csv(path)
+    with pytest.raises(TraceParseError):
+        cli_io.load_demonstration_csv(tmp_path / "missing.csv")
 
 
 def test_demo_csv_rejects_non_uniform_dt(tmp_path):
     path = tmp_path / "demo.csv"
-    header = ",".join(dm.DEMO_HEADER)
+    header = ",".join(cli_io.DEMO_HEADER)
     path.write_text(f"{header}\n0.0,20,15,0,15,0\n0.1,20,15,0,15,0\n"
                     "0.25,20,15,0,15,0\n")
     with pytest.raises(TraceParseError) as err:
-        dm.load_demonstration_csv(path)
+        cli_io.load_demonstration_csv(path)
     assert "non-uniform" in str(err.value)
     assert err.value.line == 4
+    path.write_text(f"{header}\n0.0,20,15,0,15,0\n0.0,20,15,0,15,0\n"
+                    "0.0,20,15,0,15,0\n")
+    with pytest.raises(TraceParseError) as err:
+        cli_io.load_demonstration_csv(path)
+    assert "time must increase" in str(err.value)
+    assert err.value.line == 3
 
 
 def test_demo_csv_non_uniform_dt_line_counts_blank_lines(tmp_path):
     path = tmp_path / "demo.csv"
-    header = ",".join(dm.DEMO_HEADER)
+    header = ",".join(cli_io.DEMO_HEADER)
     path.write_text(f"{header}\n0.0,20,15,0,15,0\n\n0.1,20,15,0,15,0\n"
                     "0.25,20,15,0,15,0\n")
     with pytest.raises(TraceParseError) as err:
-        dm.load_demonstration_csv(path)
+        cli_io.load_demonstration_csv(path)
     assert err.value.line == 5
 
 
 def test_demo_csv_rejects_malformed_number(tmp_path):
     path = tmp_path / "demo.csv"
-    header = ",".join(dm.DEMO_HEADER)
+    header = ",".join(cli_io.DEMO_HEADER)
     path.write_text(f"{header}\n0.0,20,fifteen,0,15,0\n")
     with pytest.raises(TraceParseError) as err:
-        dm.load_demonstration_csv(path)
+        cli_io.load_demonstration_csv(path)
     assert err.value.line == 2
+    path.write_text(f"{header}\n0.0,20,15,0,15,0\n0.1,20,nan,0,15,0\n")
+    with pytest.raises(TraceParseError) as err:
+        cli_io.load_demonstration_csv(path)
+    assert err.value.line == 3
 
 
 def test_estimate_tau_headway():
